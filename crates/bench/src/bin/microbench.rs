@@ -1,4 +1,4 @@
-//! Data-plane microbenchmarks for the SoA arena hot paths.
+//! Microbenchmarks for the SoA arena hot paths and the SAC update.
 //!
 //! Times the three primitives the adaptive per-tick cost decomposes
 //! into, in isolation, so a regression in any one of them is visible
@@ -14,6 +14,11 @@
 //!   histogram with the residency-bitset predicate, the gather step of
 //!   every enforcement tick (scans/sec and pages/sec).
 //!
+//! plus the learning kernel behind SAC pretraining:
+//!
+//! * **sac_update** — `Sac::update` rounds at `SacConfig::paper` (batch
+//!   64, 64×64 twin critics) on a filled replay buffer (updates/sec).
+//!
 //! Writes `BENCH_micro.json` (override with `--out PATH`); CI uploads
 //! the file as an artifact next to the span traces. Absolute numbers
 //! are machine-dependent — the file is a provenance record, not a gate
@@ -21,6 +26,8 @@
 
 use std::time::Instant;
 
+use mtat_rl::replay::Transition;
+use mtat_rl::sac::{Sac, SacConfig};
 use mtat_tiermem::histogram::{AccessHistogram, NUM_BINS};
 use mtat_tiermem::memory::{InitialPlacement, MemorySpec, TieredMemory};
 use mtat_tiermem::page::{PageId, PageRegion, Tier};
@@ -118,6 +125,31 @@ fn bench_hottest_scan() -> (f64, f64) {
     (scans as f64 / secs, pages as f64 / secs)
 }
 
+/// `Sac::update` rounds on the paper agent (seed 11, updates only on
+/// demand) after 2,000 deterministic transitions. Returns updates/sec.
+fn bench_sac_update() -> f64 {
+    let mut cfg = SacConfig::paper(3, 1);
+    cfg.update_every = usize::MAX;
+    let mut sac = Sac::new(cfg, 11);
+    for i in 0..2000u32 {
+        let x = f64::from(i % 97) / 97.0;
+        sac.observe(Transition {
+            state: vec![x, 1.0 - x, 0.5],
+            action: vec![x * 2.0 - 1.0],
+            reward: -x,
+            next_state: vec![1.0 - x, x, 0.5],
+            done: i % 200 == 199,
+        });
+    }
+    let mut updates = 0u64;
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < MIN_SECS {
+        sac.update();
+        updates += 1;
+    }
+    updates as f64 / start.elapsed().as_secs_f64()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let out_path = args
@@ -136,13 +168,17 @@ fn main() {
     eprintln!("# microbench: hottest-scan (k=1024, bitset predicate)...");
     let (scans, scan_pages) = bench_hottest_scan();
     eprintln!("#   {scans:.0} scans/s, {scan_pages:.0} pages/s");
+    eprintln!("# microbench: sac_update (paper agent, batch 64)...");
+    let sac_updates = bench_sac_update();
+    eprintln!("#   {sac_updates:.0} updates/s");
 
     let json = format!(
         "{{\n  \"schema\": 1,\n  \
          \"migrate_batch_pages_per_sec\": {migrate:.0},\n  \
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
-         \"hottest_scan_pages_per_sec\": {scan_pages:.0}\n}}\n"
+         \"hottest_scan_pages_per_sec\": {scan_pages:.0},\n  \
+         \"sac_update_per_sec\": {sac_updates:.0}\n}}\n"
     );
     print!("{json}");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

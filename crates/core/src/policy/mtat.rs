@@ -26,7 +26,7 @@ use mtat_obs::Obs;
 use mtat_rl::sac::{Sac, SacConfig};
 use mtat_tiermem::memory::TieredMemory;
 use mtat_tiermem::page::WorkloadId;
-use mtat_tiermem::GIB;
+use mtat_workloads::access::AccessPattern;
 use mtat_workloads::be::BeSpec;
 use mtat_workloads::lc::LcSpec;
 
@@ -203,27 +203,78 @@ struct ProvSnap {
     retried: u64,
 }
 
-/// Pretrained-agent cache keyed by (workload, cores, FMem, step,
-/// pretrain-steps). Each key maps to its own slot mutex so concurrent
-/// builders of the *same* configuration (e.g. parallel bench-matrix
-/// cells) block on one pretraining run instead of duplicating it, while
-/// distinct configurations still pretrain concurrently.
+/// Everything pretraining reads, exactly: the whole LC spec, the FMem
+/// size and the Eq. (1) step bound in bytes, the step count and the
+/// seed. Floats key on their bit patterns, so configurations that differ
+/// anywhere never share an agent.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct AgentKey {
+    name: String,
+    rss_bytes: u64,
+    slo_secs: u64,
+    cores: usize,
+    cpu_secs: u64,
+    accesses_per_req: u64,
+    /// `None` for uniform traffic, else the Zipf exponent's bits.
+    zipf_exponent: Option<u64>,
+    fmem_total: u64,
+    max_step_bytes: u64,
+    pretrain_steps: usize,
+    seed: u64,
+}
+
+impl AgentKey {
+    fn new(spec: &LcSpec, lc_cfg: &LcPartitionerConfig, cfg: &MtatConfig) -> Self {
+        // Destructured in full so a new spec field cannot be left out.
+        let LcSpec {
+            name,
+            rss_bytes,
+            slo_secs,
+            cores,
+            cpu_secs,
+            accesses_per_req,
+            pattern,
+        } = spec;
+        Self {
+            name: name.clone(),
+            rss_bytes: *rss_bytes,
+            slo_secs: slo_secs.to_bits(),
+            cores: *cores,
+            cpu_secs: cpu_secs.to_bits(),
+            accesses_per_req: accesses_per_req.to_bits(),
+            zipf_exponent: match *pattern {
+                AccessPattern::Uniform => None,
+                AccessPattern::Zipfian { exponent } => Some(exponent.to_bits()),
+            },
+            fmem_total: lc_cfg.fmem_total,
+            max_step_bytes: lc_cfg.max_step_bytes.to_bits(),
+            pretrain_steps: cfg.pretrain_steps,
+            seed: cfg.seed,
+        }
+    }
+}
+
+/// Pretrained-agent cache keyed by [`AgentKey`]. Each key maps to its own
+/// slot mutex so concurrent builders of the *same* configuration (e.g.
+/// parallel bench-matrix cells) block on one pretraining run instead of
+/// duplicating it, while distinct configurations still pretrain
+/// concurrently.
 type AgentSlot = Arc<Mutex<Option<Sac>>>;
 
-fn agent_cache() -> &'static Mutex<HashMap<String, AgentSlot>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, AgentSlot>>> = OnceLock::new();
+fn agent_cache() -> &'static Mutex<HashMap<AgentKey, AgentSlot>> {
+    static CACHE: OnceLock<Mutex<HashMap<AgentKey, AgentSlot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Returns the cached agent for `key`, pretraining it via `train` if
 /// absent. Pretraining is deterministic, so whichever thread wins the
 /// per-key slot produces the same agent any other would have.
-fn cached_agent(key: &str, train: impl FnOnce() -> Sac) -> Sac {
+fn cached_agent(key: AgentKey, train: impl FnOnce() -> Sac) -> Sac {
     let slot = Arc::clone(
         agent_cache()
             .lock()
             .expect("cache lock")
-            .entry(key.to_string())
+            .entry(key)
             .or_default(),
     );
     let mut guard = slot.lock().expect("cache slot lock");
@@ -246,15 +297,8 @@ impl MtatPolicy {
         };
 
         let sizer = if cfg.use_rl {
-            let key = format!(
-                "{}/c{}/f{}/s{}/p{}",
-                lc_spec.name,
-                lc_spec.cores,
-                fmem_total / GIB,
-                max_step_bytes as u64 / GIB,
-                cfg.pretrain_steps
-            );
-            let agent = cached_agent(&key, || {
+            let key = AgentKey::new(lc_spec, &lc_cfg, &cfg);
+            let agent = cached_agent(key, || {
                 LcPartitioner::pretrained(lc_spec, lc_cfg.clone(), cfg.pretrain_steps, cfg.seed)
                     .agent()
                     .clone()
@@ -1271,5 +1315,53 @@ mod tests {
         // LC has an explicit target; BE does not.
         assert!(policy.fmem_target(lc).is_some());
         assert_eq!(policy.fmem_target(be), None);
+    }
+
+    /// The agent cache keys on everything pretraining reads: configs
+    /// differing only in the seed get their own agents, nearby FMem
+    /// step bounds no longer share a key, and an identical config is
+    /// served from the cache without pretraining again.
+    #[test]
+    fn agent_cache_keys_on_everything_pretraining_reads() {
+        use mtat_snapshot::{Snap, SnapWriter};
+
+        let sim_cfg = SimConfig::small_test();
+        let lc_spec = small_lc();
+        let be = [small_be()];
+        let cfg = |seed| MtatConfig {
+            pretrain_steps: 300,
+            seed,
+            ..MtatConfig::full()
+        };
+        let bytes = |agent: &Sac| {
+            let mut w = SnapWriter::new();
+            agent.snap(&mut w);
+            w.into_bytes()
+        };
+        let a = MtatPolicy::new(cfg(0xA11CE), &sim_cfg, &lc_spec, &be);
+        let b = MtatPolicy::new(cfg(0xB0B), &sim_cfg, &lc_spec, &be);
+        let agent_a = bytes(a.ppm.sac_agent().expect("RL sizer"));
+        assert_ne!(agent_a, bytes(b.ppm.sac_agent().expect("RL sizer")));
+
+        let lc_cfg = LcPartitionerConfig {
+            fmem_total: sim_cfg.mem.fmem_bytes(),
+            max_step_bytes: sim_cfg.migration_bw * sim_cfg.interval_secs / 2.0,
+            online_learning: true,
+            explore: false,
+        };
+        let hit = cached_agent(AgentKey::new(&lc_spec, &lc_cfg, &cfg(0xA11CE)), || {
+            panic!("an identical config pretrained again")
+        });
+        assert_eq!(bytes(&hit), agent_a);
+
+        let key = AgentKey::new(&lc_spec, &lc_cfg, &cfg(1));
+        let nearby = LcPartitionerConfig {
+            max_step_bytes: lc_cfg.max_step_bytes + 1.0,
+            ..lc_cfg.clone()
+        };
+        assert_ne!(key, AgentKey::new(&lc_spec, &nearby, &cfg(1)));
+        let mut slower = lc_spec.clone();
+        slower.cpu_secs *= 2.0;
+        assert_ne!(key, AgentKey::new(&slower, &lc_cfg, &cfg(1)));
     }
 }

@@ -1,10 +1,8 @@
 //! Element-wise activation functions.
 
-use serde::{Deserialize, Serialize};
-
 /// An element-wise activation applied between [`crate::linear::Linear`]
 /// layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Rectified linear unit: `max(0, x)`.
     Relu,
@@ -15,36 +13,52 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to `pre` (the pre-activation values),
-    /// returning the activated output.
-    pub fn forward(&self, pre: &[f64]) -> Vec<f64> {
+    /// Writes the activation of each pre-activation value in `pre` to
+    /// the same position of `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn forward_into(&self, pre: &[f64], out: &mut [f64]) {
+        assert_eq!(pre.len(), out.len(), "length mismatch");
         match self {
-            Activation::Relu => pre.iter().map(|&x| x.max(0.0)).collect(),
-            Activation::Tanh => pre.iter().map(|&x| x.tanh()).collect(),
-            Activation::Identity => pre.to_vec(),
+            Activation::Relu => {
+                for (o, &x) in out.iter_mut().zip(pre) {
+                    *o = x.max(0.0);
+                }
+            }
+            Activation::Tanh => {
+                for (o, &x) in out.iter_mut().zip(pre) {
+                    *o = x.tanh();
+                }
+            }
+            Activation::Identity => out.copy_from_slice(pre),
         }
     }
 
-    /// Multiplies `grad_out` by the activation's derivative evaluated at
-    /// pre-activation `pre`, producing the gradient with respect to the
-    /// pre-activation values.
-    pub fn backward(&self, pre: &[f64], grad_out: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(pre.len(), grad_out.len());
+    /// Multiplies each entry of `grad` in place by the activation's
+    /// derivative at the matching pre-activation value in `pre`, turning
+    /// a gradient with respect to the output into one with respect to
+    /// the pre-activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn backward_in_place(&self, pre: &[f64], grad: &mut [f64]) {
+        assert_eq!(pre.len(), grad.len(), "length mismatch");
         match self {
-            Activation::Relu => pre
-                .iter()
-                .zip(grad_out)
-                .map(|(&x, &g)| if x > 0.0 { g } else { 0.0 })
-                .collect(),
-            Activation::Tanh => pre
-                .iter()
-                .zip(grad_out)
-                .map(|(&x, &g)| {
+            Activation::Relu => {
+                for (g, &x) in grad.iter_mut().zip(pre) {
+                    *g = if x > 0.0 { *g } else { 0.0 };
+                }
+            }
+            Activation::Tanh => {
+                for (g, &x) in grad.iter_mut().zip(pre) {
                     let t = x.tanh();
-                    g * (1.0 - t * t)
-                })
-                .collect(),
-            Activation::Identity => grad_out.to_vec(),
+                    *g *= 1.0 - t * t;
+                }
+            }
+            Activation::Identity => {}
         }
     }
 }
@@ -72,22 +86,33 @@ impl mtat_snapshot::Snap for Activation {
 mod tests {
     use super::*;
 
+    fn forward(act: Activation, pre: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; pre.len()];
+        act.forward_into(pre, &mut out);
+        out
+    }
+
+    fn backward(act: Activation, pre: &[f64], grad: &[f64]) -> Vec<f64> {
+        let mut g = grad.to_vec();
+        act.backward_in_place(pre, &mut g);
+        g
+    }
+
     #[test]
     fn relu_forward_backward() {
         let pre = [-1.0, 0.0, 2.0];
-        let out = Activation::Relu.forward(&pre);
-        assert_eq!(out, vec![0.0, 0.0, 2.0]);
-        let grad = Activation::Relu.backward(&pre, &[1.0, 1.0, 1.0]);
+        assert_eq!(forward(Activation::Relu, &pre), vec![0.0, 0.0, 2.0]);
+        let grad = backward(Activation::Relu, &pre, &[1.0, 1.0, 1.0]);
         assert_eq!(grad, vec![0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn tanh_forward_backward() {
         let pre = [0.0, 1.0];
-        let out = Activation::Tanh.forward(&pre);
+        let out = forward(Activation::Tanh, &pre);
         assert!((out[0] - 0.0).abs() < 1e-12);
         assert!((out[1] - 1.0_f64.tanh()).abs() < 1e-12);
-        let grad = Activation::Tanh.backward(&pre, &[1.0, 1.0]);
+        let grad = backward(Activation::Tanh, &pre, &[1.0, 1.0]);
         assert!((grad[0] - 1.0).abs() < 1e-12);
         let t = 1.0_f64.tanh();
         assert!((grad[1] - (1.0 - t * t)).abs() < 1e-12);
@@ -96,9 +121,9 @@ mod tests {
     #[test]
     fn identity_passthrough() {
         let pre = [3.0, -4.0];
-        assert_eq!(Activation::Identity.forward(&pre), vec![3.0, -4.0]);
+        assert_eq!(forward(Activation::Identity, &pre), vec![3.0, -4.0]);
         assert_eq!(
-            Activation::Identity.backward(&pre, &[0.5, 0.25]),
+            backward(Activation::Identity, &pre, &[0.5, 0.25]),
             vec![0.5, 0.25]
         );
     }
@@ -108,9 +133,9 @@ mod tests {
         let eps = 1e-6;
         for act in [Activation::Relu, Activation::Tanh, Activation::Identity] {
             for &x in &[-0.7, 0.3, 1.5] {
-                let f = |v: f64| act.forward(&[v])[0];
+                let f = |v: f64| forward(act, &[v])[0];
                 let numeric = (f(x + eps) - f(x - eps)) / (2.0 * eps);
-                let analytic = act.backward(&[x], &[1.0])[0];
+                let analytic = backward(act, &[x], &[1.0])[0];
                 assert!(
                     (numeric - analytic).abs() < 1e-5,
                     "{act:?} at {x}: {numeric} vs {analytic}"

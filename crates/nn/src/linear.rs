@@ -1,32 +1,33 @@
 //! Fully-connected layer with gradient accumulation and Adam moments.
+//!
+//! Every pass is batched: inputs, outputs and gradients are row-major
+//! `n × dim` buffers, one row per sample, and each pass is one call of
+//! the tiled kernel in [`crate::kernel`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
+use crate::kernel::{gemm, Init, Lhs};
 use crate::optim::Adam;
 
 /// A dense layer `y = W·x + b` with `W ∈ R^{out×in}` stored row-major.
 ///
 /// The layer owns its gradient accumulators and Adam first/second
 /// moments, so a whole network can be stepped by iterating its layers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     in_dim: usize,
     out_dim: usize,
     w: Vec<f64>,
+    /// `Wᵀ` (`in×out`), so the forward kernel reads a tile's outputs
+    /// contiguously. Rebuilt by [`Self::sync_wt`] after every write to `w`.
+    wt: Vec<f64>,
     b: Vec<f64>,
-    #[serde(skip)]
     gw: Vec<f64>,
-    #[serde(skip)]
     gb: Vec<f64>,
-    #[serde(skip)]
     mw: Vec<f64>,
-    #[serde(skip)]
     vw: Vec<f64>,
-    #[serde(skip)]
     mb: Vec<f64>,
-    #[serde(skip)]
     vb: Vec<f64>,
 }
 
@@ -46,10 +47,11 @@ impl Linear {
         let w = (0..in_dim * out_dim)
             .map(|_| rng.gen_range(-bound..bound))
             .collect();
-        Self {
+        let mut layer = Self {
             in_dim,
             out_dim,
             w,
+            wt: Vec::new(),
             b: vec![0.0; out_dim],
             gw: vec![0.0; in_dim * out_dim],
             gb: vec![0.0; out_dim],
@@ -57,7 +59,9 @@ impl Linear {
             vw: vec![0.0; in_dim * out_dim],
             mb: vec![0.0; out_dim],
             vb: vec![0.0; out_dim],
-        }
+        };
+        layer.sync_wt();
+        layer
     }
 
     /// Convenience constructor seeding its own RNG.
@@ -78,40 +82,89 @@ impl Linear {
         self.out_dim
     }
 
-    /// Computes `W·x + b`.
+    fn sync_wt(&mut self) {
+        self.wt.resize(self.w.len(), 0.0);
+        for (o, row) in self.w.chunks_exact(self.in_dim).enumerate() {
+            for (i, &w) in row.iter().enumerate() {
+                self.wt[i * self.out_dim + o] = w;
+            }
+        }
+    }
+
+    /// Computes `y = x·Wᵀ + b` for `n` samples: `x` is `n × in`, `y` is
+    /// `n × out`. Each output is `b + Σ_i w·x`, the sum taken in input
+    /// order from `-0.0`.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != in_dim`.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
-        let mut y = self.b.clone();
-        for (o, yo) in y.iter_mut().enumerate() {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            *yo += row.iter().zip(x).map(|(&w, &xi)| w * xi).sum::<f64>();
-        }
-        y
-    }
-
-    /// Accumulates parameter gradients for one sample and returns the
-    /// gradient with respect to the input.
-    ///
-    /// `x` must be the same input passed to the corresponding
-    /// [`Self::forward`] call, and `grad_y` the gradient of the loss with
-    /// respect to that call's output.
-    pub fn backward(&mut self, x: &[f64], grad_y: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.in_dim);
-        assert_eq!(grad_y.len(), self.out_dim);
-        let mut grad_x = vec![0.0; self.in_dim];
-        for (o, &gy) in grad_y.iter().enumerate() {
-            self.gb[o] += gy;
-            let row_start = o * self.in_dim;
-            for i in 0..self.in_dim {
-                self.gw[row_start + i] += gy * x[i];
-                grad_x[i] += gy * self.w[row_start + i];
+    /// Panics if the buffer lengths do not match `n` and the layer shape.
+    // `*yo = bo + *yo` keeps the `b + acc` operand order of the rules.
+    #[allow(clippy::assign_op_pattern)]
+    pub fn forward_batch(&self, x: &[f64], n: usize, y: &mut [f64]) {
+        assert_eq!(x.len(), n * self.in_dim, "input dimension mismatch");
+        assert_eq!(y.len(), n * self.out_dim, "output dimension mismatch");
+        gemm(
+            Lhs::Rows(x, self.in_dim),
+            &self.wt,
+            n,
+            self.in_dim,
+            self.out_dim,
+            y,
+            Init::Value(-0.0),
+        );
+        for row in y.chunks_exact_mut(self.out_dim) {
+            for (yo, &bo) in row.iter_mut().zip(&self.b) {
+                *yo = bo + *yo;
             }
         }
-        grad_x
+    }
+
+    /// Accumulates the parameter gradients of `n` samples, in sample
+    /// order: `x` is the `n × in` input of the matching forward pass and
+    /// `grad_y` the `n × out` gradient of the loss with respect to its
+    /// output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer lengths do not match `n` and the layer shape.
+    pub fn accumulate_grads(&mut self, x: &[f64], grad_y: &[f64], n: usize) {
+        assert_eq!(x.len(), n * self.in_dim, "input dimension mismatch");
+        assert_eq!(grad_y.len(), n * self.out_dim, "output dimension mismatch");
+        gemm(
+            Lhs::Cols(grad_y, self.out_dim),
+            x,
+            self.out_dim,
+            n,
+            self.in_dim,
+            &mut self.gw,
+            Init::Accumulate,
+        );
+        for row in grad_y.chunks_exact(self.out_dim) {
+            for (g, &gy) in self.gb.iter_mut().zip(row) {
+                *g += gy;
+            }
+        }
+    }
+
+    /// Writes the `n × in` gradient with respect to the input,
+    /// `grad_x = grad_y·W`, each entry summed over outputs in order from
+    /// `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer lengths do not match `n` and the layer shape.
+    pub fn input_grad(&self, grad_y: &[f64], n: usize, grad_x: &mut [f64]) {
+        assert_eq!(grad_y.len(), n * self.out_dim, "output dimension mismatch");
+        assert_eq!(grad_x.len(), n * self.in_dim, "input dimension mismatch");
+        gemm(
+            Lhs::Rows(grad_y, self.out_dim),
+            &self.w,
+            n,
+            self.out_dim,
+            self.in_dim,
+            grad_x,
+            Init::Value(0.0),
+        );
     }
 
     /// Zeroes the accumulated gradients.
@@ -126,6 +179,7 @@ impl Linear {
         let scale = 1.0 / batch.max(1) as f64;
         adam.update(&mut self.w, &mut self.gw, &mut self.mw, &mut self.vw, scale);
         adam.update(&mut self.b, &mut self.gb, &mut self.mb, &mut self.vb, scale);
+        self.sync_wt();
     }
 
     /// Soft-updates this layer's parameters toward `source`:
@@ -143,18 +197,7 @@ impl Linear {
         for (t, &s) in self.b.iter_mut().zip(&source.b) {
             *t = tau * s + (1.0 - tau) * *t;
         }
-    }
-
-    /// Ensures transient buffers (skipped by serde) match parameter
-    /// shapes after deserialization.
-    pub fn restore_buffers(&mut self) {
-        let nw = self.in_dim * self.out_dim;
-        for buf in [&mut self.gw, &mut self.mw, &mut self.vw] {
-            buf.resize(nw, 0.0);
-        }
-        for buf in [&mut self.gb, &mut self.mb, &mut self.vb] {
-            buf.resize(self.out_dim, 0.0);
-        }
+        self.sync_wt();
     }
 
     /// Immutable view of the weight matrix (row-major, `out×in`). For
@@ -168,12 +211,24 @@ impl Linear {
         &self.b
     }
 
+    /// Accumulated weight gradients (row-major, `out×in`). For tests and
+    /// diagnostics.
+    pub fn weight_grads(&self) -> &[f64] {
+        &self.gw
+    }
+
+    /// Accumulated bias gradients.
+    pub fn bias_grads(&self) -> &[f64] {
+        &self.gb
+    }
+
     /// Overwrites every weight and bias with `v`. Fault-injection
     /// support: writing a non-finite value models a corrupted gradient
     /// round or a bad parameter load, the poison the health sentinel
     /// must detect and contain.
     pub fn fill_params(&mut self, v: f64) {
         self.w.fill(v);
+        self.wt.fill(v);
         self.b.fill(v);
     }
 }
@@ -218,10 +273,11 @@ impl mtat_snapshot::Snap for Linear {
         {
             return Err(SnapError::Malformed("layer shape mismatch"));
         }
-        Ok(Self {
+        let mut layer = Self {
             in_dim,
             out_dim,
             w,
+            wt: Vec::new(),
             b,
             gw: vec![0.0; nw],
             gb: vec![0.0; out_dim],
@@ -229,7 +285,9 @@ impl mtat_snapshot::Snap for Linear {
             vw,
             mb,
             vb,
-        })
+        };
+        layer.sync_wt();
+        Ok(layer)
     }
 }
 
@@ -237,14 +295,24 @@ impl mtat_snapshot::Snap for Linear {
 mod tests {
     use super::*;
 
+    fn forward(l: &Linear, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; l.out_dim];
+        l.forward_batch(x, 1, &mut y);
+        y
+    }
+
     #[test]
     fn forward_known_values() {
         let mut l = Linear::with_seed(2, 2, 0);
         // Overwrite parameters with known values.
         l.w = vec![1.0, 2.0, 3.0, 4.0]; // rows: [1,2], [3,4]
         l.b = vec![0.5, -0.5];
-        let y = l.forward(&[1.0, 1.0]);
-        assert_eq!(y, vec![3.5, 6.5]);
+        l.sync_wt();
+        assert_eq!(forward(&l, &[1.0, 1.0]), vec![3.5, 6.5]);
+        // Two samples at once: one row each.
+        let mut y = vec![0.0; 4];
+        l.forward_batch(&[1.0, 1.0, 0.0, 1.0], 2, &mut y);
+        assert_eq!(y, vec![3.5, 6.5, 2.5, 3.5]);
     }
 
     #[test]
@@ -254,7 +322,9 @@ mod tests {
         // Scalar loss: sum of outputs.
         let grad_y = [1.0, 1.0];
         l.zero_grad();
-        let grad_x = l.backward(&x, &grad_y);
+        l.accumulate_grads(&x, &grad_y, 1);
+        let mut grad_x = [0.0; 3];
+        l.input_grad(&grad_y, 1, &mut grad_x);
 
         let eps = 1e-6;
         // Check input gradient.
@@ -263,8 +333,8 @@ mod tests {
             xp[i] += eps;
             let mut xm = x;
             xm[i] -= eps;
-            let fp: f64 = l.forward(&xp).iter().sum();
-            let fm: f64 = l.forward(&xm).iter().sum();
+            let fp: f64 = forward(&l, &xp).iter().sum();
+            let fm: f64 = forward(&l, &xm).iter().sum();
             let numeric = (fp - fm) / (2.0 * eps);
             assert!((numeric - grad_x[i]).abs() < 1e-6, "input {i}");
         }
@@ -280,13 +350,13 @@ mod tests {
         let adam = Adam::new(0.05);
         // Minimize (y - 2)^2 for input 1: w + b -> 2.
         for _ in 0..300 {
-            let y = l.forward(&[1.0])[0];
+            let y = forward(&l, &[1.0])[0];
             let g = 2.0 * (y - 2.0);
             l.zero_grad();
-            l.backward(&[1.0], &[g]);
+            l.accumulate_grads(&[1.0], &[g], 1);
             l.adam_step(&adam, 1);
         }
-        let y = l.forward(&[1.0])[0];
+        let y = forward(&l, &[1.0])[0];
         assert!((y - 2.0).abs() < 0.05, "{y}");
     }
 
@@ -300,17 +370,18 @@ mod tests {
             let want = 0.5 * b.w[i] + 0.5 * prev;
             assert!((a.w[i] - want).abs() < 1e-12);
         }
-        // tau = 1 copies the source exactly.
+        // tau = 1 copies the source exactly, transposed copy included.
         a.soft_update_from(&b, 1.0);
         assert_eq!(a.w, b.w);
+        assert_eq!(a.wt, b.wt);
     }
 
     #[test]
     fn gradients_accumulate_until_zeroed() {
         let mut l = Linear::with_seed(1, 1, 5);
-        l.backward(&[1.0], &[1.0]);
-        l.backward(&[1.0], &[1.0]);
-        assert!((l.gb[0] - 2.0).abs() < 1e-12);
+        l.accumulate_grads(&[1.0], &[1.0], 1);
+        l.accumulate_grads(&[1.0, 1.0], &[1.0, 1.0], 2);
+        assert!((l.gb[0] - 3.0).abs() < 1e-12);
         l.zero_grad();
         assert_eq!(l.gb[0], 0.0);
     }
@@ -325,17 +396,6 @@ mod tests {
     #[should_panic(expected = "input dimension mismatch")]
     fn forward_wrong_dim_panics() {
         let l = Linear::with_seed(2, 1, 0);
-        let _ = l.forward(&[1.0]);
-    }
-
-    #[test]
-    fn restore_buffers_resizes_transients() {
-        let l = Linear::with_seed(4, 3, 9);
-        let mut copy = l.clone();
-        copy.gw.clear();
-        copy.mb.clear();
-        copy.restore_buffers();
-        assert_eq!(copy.gw.len(), 12);
-        assert_eq!(copy.mb.len(), 3);
+        let _ = forward(&l, &[1.0]);
     }
 }

@@ -1,13 +1,13 @@
-//! Multi-layer perceptron with explicit forward caches.
+//! Multi-layer perceptron with batched forward and backward passes.
 //!
 //! SAC needs three things from its networks beyond plain inference:
 //! parameter gradients (critic regression), gradients *with respect to
 //! inputs* (the actor update differentiates Q(s, a) with respect to a),
-//! and soft target-network updates. [`Mlp`] provides all three.
+//! and soft target-network updates. [`Mlp`] provides all three, over a
+//! whole minibatch at a time, through a reusable [`MlpWork`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::activation::Activation;
 use crate::linear::Linear;
@@ -15,20 +15,133 @@ use crate::optim::Adam;
 
 /// A feed-forward network: `Linear → act → … → Linear` with the hidden
 /// activation applied between layers and an identity output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
     hidden_act: Activation,
 }
 
-/// Intermediate values saved by [`Mlp::forward_cached`], needed to run
-/// [`Mlp::backward`].
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Input to each layer (`inputs[0]` is the network input).
-    inputs: Vec<Vec<f64>>,
-    /// Pre-activation output of each layer.
-    pre_acts: Vec<Vec<f64>>,
+/// Reusable row-major buffers for batched passes through one network
+/// shape: the input and pre-activation of every layer, and the gradient
+/// with respect to each. One row per sample. The buffers grow to the
+/// largest batch seen and are reused after that, so passes at a steady
+/// batch size do no heap allocation. The buffers are scratch: a clone
+/// has the same shape and starts empty.
+#[derive(Debug)]
+pub struct MlpWork {
+    /// Layer widths, input first.
+    dims: Vec<usize>,
+    /// Rows (samples) in the current batch.
+    rows: usize,
+    /// Rows the buffers can hold.
+    cap: usize,
+    /// `acts[l]`: input to layer `l`; `acts[0]` is the network input.
+    acts: Vec<Vec<f64>>,
+    /// `pre[l]`: pre-activation output of layer `l`; the last one is the
+    /// network output.
+    pre: Vec<Vec<f64>>,
+    /// `grads[l]`: gradient with respect to `pre[l]`; the caller writes
+    /// the last one before a backward pass.
+    grads: Vec<Vec<f64>>,
+    /// Gradient with respect to the network input.
+    grad_in: Vec<f64>,
+}
+
+impl Clone for MlpWork {
+    fn clone(&self) -> Self {
+        Self::with_dims(self.dims.clone())
+    }
+}
+
+impl MlpWork {
+    /// Empty buffers shaped for `net`; they grow on first use.
+    pub fn new(net: &Mlp) -> Self {
+        Self::with_dims(
+            std::iter::once(net.in_dim())
+                .chain(net.layers.iter().map(Linear::out_dim))
+                .collect(),
+        )
+    }
+
+    fn with_dims(dims: Vec<usize>) -> Self {
+        let depth = dims.len() - 1;
+        Self {
+            dims,
+            rows: 0,
+            cap: 0,
+            acts: vec![Vec::new(); depth],
+            pre: vec![Vec::new(); depth],
+            grads: vec![Vec::new(); depth],
+            grad_in: Vec::new(),
+        }
+    }
+
+    /// Rows in the current batch.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Starts a batch of `rows` samples and returns its `rows × in`
+    /// input buffer for the caller to fill.
+    pub fn input_mut(&mut self, rows: usize) -> &mut [f64] {
+        if rows > self.cap {
+            self.cap = rows;
+            let depth = self.acts.len();
+            for l in 0..depth {
+                self.acts[l].resize(rows * self.dims[l], 0.0);
+                self.pre[l].resize(rows * self.dims[l + 1], 0.0);
+                self.grads[l].resize(rows * self.dims[l + 1], 0.0);
+            }
+            self.grad_in.resize(rows * self.dims[0], 0.0);
+        }
+        self.rows = rows;
+        &mut self.acts[0][..rows * self.dims[0]]
+    }
+
+    /// The `rows × in` network input of the current batch.
+    pub fn input(&self) -> &[f64] {
+        &self.acts[0][..self.rows * self.dims[0]]
+    }
+
+    /// The `rows × out` network output of the last forward pass.
+    pub fn output(&self) -> &[f64] {
+        let last = self.pre.len() - 1;
+        &self.pre[last][..self.rows * self.dims[last + 1]]
+    }
+
+    /// The `rows × out` gradient of the loss with respect to the network
+    /// output, for the caller to fill before a backward pass.
+    pub fn grad_output_mut(&mut self) -> &mut [f64] {
+        let last = self.grads.len() - 1;
+        &mut self.grads[last][..self.rows * self.dims[last + 1]]
+    }
+
+    /// The `rows × in` gradient with respect to the network input from
+    /// the last backward pass that asked for it.
+    pub fn grad_input(&self) -> &[f64] {
+        &self.grad_in[..self.rows * self.dims[0]]
+    }
+
+    /// Keeps only the rows for which `keep(row)` is true, in their
+    /// order, together with everything the forward pass cached for them.
+    /// A backward pass then runs over the kept rows alone.
+    pub fn retain_rows(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut kept = 0;
+        for r in 0..self.rows {
+            if !keep(r) {
+                continue;
+            }
+            if kept != r {
+                for (l, (act, pre)) in self.acts.iter_mut().zip(&mut self.pre).enumerate() {
+                    let (din, dout) = (self.dims[l], self.dims[l + 1]);
+                    act.copy_within(r * din..(r + 1) * din, kept * din);
+                    pre.copy_within(r * dout..(r + 1) * dout, kept * dout);
+                }
+            }
+            kept += 1;
+        }
+        self.rows = kept;
+    }
 }
 
 impl Mlp {
@@ -64,6 +177,11 @@ impl Mlp {
         self.layers.len()
     }
 
+    /// The linear layers, input side first. For tests and diagnostics.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
+    }
+
     /// L2 norm of all parameters (weights and biases across layers).
     ///
     /// A cheap divergence diagnostic for telemetry: SAC training that
@@ -88,70 +206,85 @@ impl Mlp {
         }
     }
 
-    /// Inference-only forward pass.
+    fn check_shape(&self, ws: &MlpWork) {
+        assert!(
+            ws.dims.len() == self.layers.len() + 1
+                && ws.dims[0] == self.in_dim()
+                && self
+                    .layers
+                    .iter()
+                    .zip(&ws.dims[1..])
+                    .all(|(l, &d)| l.out_dim() == d),
+            "workspace shape mismatch"
+        );
+    }
+
+    /// Runs the batch whose input is in `ws` forward, caching every
+    /// layer's input and pre-activation for [`Self::backward_batch`],
+    /// and returns the `rows × out` output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ws` was built for a different network shape.
+    pub fn forward_batch<'w>(&self, ws: &'w mut MlpWork) -> &'w [f64] {
+        self.check_shape(ws);
+        let n = ws.rows;
+        let last = self.layers.len() - 1;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (din, dout) = (ws.dims[l], ws.dims[l + 1]);
+            let pre = &mut ws.pre[l][..n * dout];
+            layer.forward_batch(&ws.acts[l][..n * din], n, pre);
+            if l < last {
+                self.hidden_act
+                    .forward_into(pre, &mut ws.acts[l + 1][..n * dout]);
+            }
+        }
+        ws.output()
+    }
+
+    /// Back-propagates the output gradient the caller wrote to
+    /// [`MlpWork::grad_output_mut`] through the last forward pass in
+    /// `ws`. With `param_grads` it accumulates every layer's parameter
+    /// gradients, sample by sample in row order; with `input_grad` it
+    /// leaves the gradient with respect to the network input in
+    /// [`MlpWork::grad_input`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ws` was built for a different network shape.
+    pub fn backward_batch(&mut self, ws: &mut MlpWork, param_grads: bool, input_grad: bool) {
+        self.check_shape(ws);
+        let n = ws.rows;
+        for l in (0..self.layers.len()).rev() {
+            let (din, dout) = (ws.dims[l], ws.dims[l + 1]);
+            let (below, here) = ws.grads.split_at_mut(l);
+            let gy = &here[0][..n * dout];
+            if param_grads {
+                self.layers[l].accumulate_grads(&ws.acts[l][..n * din], gy, n);
+            }
+            if l > 0 {
+                // Gradient w.r.t. this layer's input, then undo the
+                // hidden activation that produced it.
+                let gx = &mut below[l - 1][..n * din];
+                self.layers[l].input_grad(gy, n, gx);
+                self.hidden_act
+                    .backward_in_place(&ws.pre[l - 1][..n * din], gx);
+            } else if input_grad {
+                self.layers[0].input_grad(gy, n, &mut ws.grad_in[..n * din]);
+            }
+        }
+    }
+
+    /// Inference on one sample: a one-row batch through a fresh
+    /// workspace.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.in_dim()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut cur = x.to_vec();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward(&cur);
-            cur = if i < last {
-                self.hidden_act.forward(&pre)
-            } else {
-                pre
-            };
-        }
-        cur
-    }
-
-    /// Forward pass that records the per-layer inputs and pre-activations
-    /// needed by [`Self::backward`]. Returns `(output, cache)`.
-    pub fn forward_cached(&self, x: &[f64]) -> (Vec<f64>, ForwardCache) {
-        let mut cache = ForwardCache {
-            inputs: Vec::with_capacity(self.layers.len()),
-            pre_acts: Vec::with_capacity(self.layers.len()),
-        };
-        let mut cur = x.to_vec();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            cache.inputs.push(cur.clone());
-            let pre = layer.forward(&cur);
-            cache.pre_acts.push(pre.clone());
-            cur = if i < last {
-                self.hidden_act.forward(&pre)
-            } else {
-                pre
-            };
-        }
-        (cur, cache)
-    }
-
-    /// Back-propagates `grad_out` through the cached forward pass,
-    /// accumulating parameter gradients and returning the gradient with
-    /// respect to the network input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache does not match this network's shape.
-    pub fn backward(&mut self, cache: &ForwardCache, grad_out: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            cache.inputs.len(),
-            self.layers.len(),
-            "cache depth mismatch"
-        );
-        let last = self.layers.len() - 1;
-        let mut grad = grad_out.to_vec();
-        for i in (0..self.layers.len()).rev() {
-            // Undo the hidden activation (output layer is identity).
-            if i < last {
-                grad = self.hidden_act.backward(&cache.pre_acts[i], &grad);
-            }
-            grad = self.layers[i].backward(&cache.inputs[i], &grad);
-        }
-        grad
+        let mut ws = MlpWork::new(self);
+        ws.input_mut(1).copy_from_slice(x);
+        self.forward_batch(&mut ws).to_vec()
     }
 
     /// Zeroes all accumulated parameter gradients.
@@ -188,13 +321,6 @@ impl Mlp {
             t.soft_update_from(s, tau);
         }
     }
-
-    /// Re-creates transient buffers after deserialization.
-    pub fn restore_buffers(&mut self) {
-        for l in &mut self.layers {
-            l.restore_buffers();
-        }
-    }
 }
 
 impl mtat_snapshot::Snap for Mlp {
@@ -224,6 +350,25 @@ mod tests {
     use super::*;
     use crate::loss;
 
+    /// One-sample backward pass: accumulates parameter gradients and
+    /// returns the gradient with respect to the input.
+    fn backprop(net: &mut Mlp, x: &[f64], grad_out: &[f64]) -> Vec<f64> {
+        let mut ws = MlpWork::new(net);
+        ws.input_mut(1).copy_from_slice(x);
+        net.forward_batch(&mut ws);
+        ws.grad_output_mut().copy_from_slice(grad_out);
+        net.backward_batch(&mut ws, true, true);
+        ws.grad_input().to_vec()
+    }
+
+    /// One MSE regression step on a single sample.
+    fn train_step(net: &mut Mlp, adam: &mut Adam, x: &[f64], target: &[f64]) {
+        let grad = loss::mse_grad(&net.forward(x), target);
+        net.zero_grad();
+        backprop(net, x, &grad);
+        net.adam_step(adam);
+    }
+
     #[test]
     fn shapes() {
         let net = Mlp::new(&[3, 8, 8, 2], Activation::Relu, 0);
@@ -234,12 +379,31 @@ mod tests {
     }
 
     #[test]
-    fn forward_and_forward_cached_agree() {
-        let net = Mlp::new(&[2, 5, 1], Activation::Tanh, 11);
-        let x = [0.4, -0.9];
-        let y1 = net.forward(&x);
-        let (y2, _) = net.forward_cached(&x);
-        assert_eq!(y1, y2);
+    fn batch_rows_match_single_samples() {
+        let net = Mlp::new(&[2, 5, 3], Activation::Tanh, 11);
+        let xs = [0.4, -0.9, 0.1, 0.2, -0.7, 0.0];
+        let mut ws = MlpWork::new(&net);
+        ws.input_mut(3).copy_from_slice(&xs);
+        let batch = net.forward_batch(&mut ws).to_vec();
+        for (x, y) in xs.chunks(2).zip(batch.chunks(3)) {
+            assert_eq!(net.forward(x), y);
+        }
+    }
+
+    #[test]
+    fn retain_rows_keeps_the_cached_pass_of_kept_rows() {
+        let mut net = Mlp::new(&[2, 4, 1], Activation::Relu, 6);
+        let xs = [0.5, -0.5, 0.9, 0.3, -0.2, 0.8];
+        let mut ws = MlpWork::new(&net);
+        ws.input_mut(3).copy_from_slice(&xs);
+        net.forward_batch(&mut ws);
+        ws.retain_rows(|r| r != 1);
+        assert_eq!(ws.rows(), 2);
+        ws.grad_output_mut().fill(1.0);
+        net.backward_batch(&mut ws, false, true);
+        let got = ws.grad_input().to_vec();
+        assert_eq!(&got[..2], &backprop(&mut net, &xs[..2], &[1.0])[..]);
+        assert_eq!(&got[2..], &backprop(&mut net, &xs[4..], &[1.0])[..]);
     }
 
     #[test]
@@ -247,9 +411,8 @@ mod tests {
         // Scalar-output net; loss = output itself.
         let mut net = Mlp::new(&[2, 4, 1], Activation::Tanh, 3);
         let x = [0.7, -0.2];
-        let (_, cache) = net.forward_cached(&x);
         net.zero_grad();
-        let grad_in = net.backward(&cache, &[1.0]);
+        let grad_in = backprop(&mut net, &x, &[1.0]);
 
         // Finite-difference the *input* gradient.
         let eps = 1e-6;
@@ -271,9 +434,8 @@ mod tests {
     fn relu_network_input_gradient_check() {
         let mut net = Mlp::new(&[3, 6, 1], Activation::Relu, 17);
         let x = [0.5, 0.25, -0.75];
-        let (_, cache) = net.forward_cached(&x);
         net.zero_grad();
-        let grad_in = net.backward(&cache, &[1.0]);
+        let grad_in = backprop(&mut net, &x, &[1.0]);
         let eps = 1e-6;
         for i in 0..3 {
             let mut xp = x;
@@ -291,12 +453,7 @@ mod tests {
         let mut adam = Adam::new(1e-2);
         for step in 0..600 {
             let x = [((step % 10) as f64) / 10.0];
-            let target = [2.0 * x[0] + 0.5];
-            let (y, cache) = net.forward_cached(&x);
-            let grad = loss::mse_grad(&y, &target);
-            net.zero_grad();
-            net.backward(&cache, &grad);
-            net.adam_step(&mut adam);
+            train_step(&mut net, &mut adam, &x, &[2.0 * x[0] + 0.5]);
         }
         for x in [0.15, 0.55, 0.85] {
             let y = net.forward(&[x])[0];
@@ -311,13 +468,15 @@ mod tests {
         let mut net = Mlp::new(&[1, 32, 32, 1], Activation::Tanh, 5);
         let mut adam = Adam::new(1e-2);
         let xs: Vec<f64> = (0..41).map(|i| -1.0 + 2.0 * i as f64 / 40.0).collect();
+        let mut ws = MlpWork::new(&net);
+        ws.input_mut(xs.len()).copy_from_slice(&xs);
         for _ in 0..800 {
-            net.zero_grad();
-            for &x in &xs {
-                let (y, cache) = net.forward_cached(&[x]);
-                let grad = loss::mse_grad(&y, &[x * x]);
-                net.backward(&cache, &grad);
+            let y = net.forward_batch(&mut ws).to_vec();
+            for ((g, y), &x) in ws.grad_output_mut().iter_mut().zip(&y).zip(&xs) {
+                *g = loss::mse_grad(&[*y], &[x * x])[0];
             }
+            net.zero_grad();
+            net.backward_batch(&mut ws, true, false);
             net.adam_step_batch(&mut adam, xs.len());
         }
         let mut worst: f64 = 0.0;
@@ -360,11 +519,7 @@ mod tests {
         let mut net = Mlp::new(&[1, 8, 1], Activation::Tanh, 21);
         let mut adam = Adam::new(1e-2);
         let step = |net: &mut Mlp, adam: &mut Adam, x: f64| {
-            let (y, cache) = net.forward_cached(&[x]);
-            let grad = loss::mse_grad(&y, &[2.0 * x]);
-            net.zero_grad();
-            net.backward(&cache, &grad);
-            net.adam_step(adam);
+            train_step(net, adam, &[x], &[2.0 * x]);
         };
         for i in 0..50 {
             step(&mut net, &mut adam, (i % 7) as f64 / 7.0);

@@ -1,6 +1,5 @@
 //! The Adam optimizer.
 
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
 /// Adam optimizer state shared across a network's layers.
@@ -8,7 +7,7 @@ use std::cell::Cell;
 /// The time step `t` advances once per [`Adam::tick`] (one optimizer step
 /// over the whole network), not per parameter tensor, so bias correction
 /// is consistent across layers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f64,

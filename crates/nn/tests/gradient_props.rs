@@ -7,11 +7,22 @@ use proptest::prelude::*;
 
 use mtat_nn::activation::Activation;
 use mtat_nn::loss;
-use mtat_nn::mlp::Mlp;
+use mtat_nn::mlp::{Mlp, MlpWork};
 use mtat_nn::optim::Adam;
 
 fn scalar_net(hidden: usize, act: Activation, seed: u64) -> Mlp {
     Mlp::new(&[3, hidden, 1], act, seed)
+}
+
+/// One-sample backward pass: accumulates parameter gradients and
+/// returns the gradient with respect to the input.
+fn backprop(net: &mut Mlp, x: &[f64], grad_out: &[f64]) -> Vec<f64> {
+    let mut ws = MlpWork::new(net);
+    ws.input_mut(1).copy_from_slice(x);
+    net.forward_batch(&mut ws);
+    ws.grad_output_mut().copy_from_slice(grad_out);
+    net.backward_batch(&mut ws, true, true);
+    ws.grad_input().to_vec()
 }
 
 proptest! {
@@ -30,9 +41,8 @@ proptest! {
         let act = if use_tanh { Activation::Tanh } else { Activation::Relu };
         let mut net = scalar_net(hidden, act, seed);
         let x = [x0, x1, x2];
-        let (_, cache) = net.forward_cached(&x);
         net.zero_grad();
-        let grad = net.backward(&cache, &[1.0]);
+        let grad = backprop(&mut net, &x, &[1.0]);
 
         let eps = 1e-6;
         for i in 0..3 {
@@ -61,14 +71,14 @@ proptest! {
     ) {
         let mut net = scalar_net(8, Activation::Tanh, seed);
         let x = [0.3, -0.5, 0.9];
-        let (y0, cache) = net.forward_cached(&x);
+        let y0 = net.forward(&x);
         let loss0 = loss::mse(&y0, &[target]);
         if loss0 < 1e-9 {
             return Ok(()); // already at the optimum
         }
         let grad = loss::mse_grad(&y0, &[target]);
         net.zero_grad();
-        net.backward(&cache, &grad);
+        backprop(&mut net, &x, &grad);
         let mut adam = Adam::new(1e-3);
         net.adam_step(&mut adam);
         let y1 = net.forward(&x);

@@ -13,18 +13,17 @@
 //! 4. **Targets** — soft-update `θᵗ ← τθ + (1−τ)θᵗ`.
 
 use mtat_nn::activation::Activation;
-use mtat_nn::mlp::Mlp;
+use mtat_nn::mlp::{Mlp, MlpWork};
 use mtat_nn::optim::Adam;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::env::Environment;
-use crate::policy::{squash_correction_grad, GaussianPolicy};
-use crate::replay::{ReplayBuffer, Transition};
+use crate::policy::{squash_correction_grad, GaussianPolicy, PolicyBatch};
+use crate::replay::{Minibatch, ReplayBuffer, Transition};
 
 /// Hyperparameters for [`Sac`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SacConfig {
     /// State dimension.
     pub state_dim: usize,
@@ -127,6 +126,59 @@ pub struct Sac {
     /// Policy entropy estimate `−E[log π]` from the last gradient round
     /// (NaN before the first). Diagnostic only, excluded from snapshots.
     last_entropy: f64,
+    /// Minibatch buffers reused by every update. Scratch only: excluded
+    /// from snapshots and fully rewritten before each read.
+    work: SacWork,
+}
+
+/// The minibatch of one update, gathered into row-major arrays, plus
+/// the network workspaces of its batched passes.
+#[derive(Debug, Clone)]
+struct SacWork {
+    batch: Minibatch,
+    /// Soft Bellman targets `y`.
+    targets: Vec<f64>,
+    /// Whether each row's actor gradient flows through `Q₁` (else `Q₂`).
+    via_q1: Vec<bool>,
+    /// `∂L/∂u` of the actor loss, `rows × action_dim`.
+    dl_du: Vec<f64>,
+    pi: PolicyBatch,
+    q1: MlpWork,
+    q2: MlpWork,
+}
+
+impl SacWork {
+    fn new(policy: &GaussianPolicy, q: &Mlp) -> Self {
+        Self {
+            batch: Minibatch::default(),
+            targets: Vec::new(),
+            via_q1: Vec::new(),
+            dl_du: Vec::new(),
+            pi: PolicyBatch::new(policy),
+            q1: MlpWork::new(q),
+            q2: MlpWork::new(q),
+        }
+    }
+}
+
+/// Loads the critic input rows `(s, a)` into both critic workspaces.
+fn load_critic_inputs(
+    q1: &mut MlpWork,
+    q2: &mut MlpWork,
+    states: &[f64],
+    actions: &[f64],
+    (sd, ad): (usize, usize),
+) {
+    let n = states.len() / sd;
+    let rows = q1.input_mut(n).chunks_exact_mut(sd + ad);
+    for ((row, s), a) in rows
+        .zip(states.chunks_exact(sd))
+        .zip(actions.chunks_exact(ad))
+    {
+        row[..sd].copy_from_slice(s);
+        row[sd..].copy_from_slice(a);
+    }
+    q2.input_mut(n).copy_from_slice(q1.input());
 }
 
 impl Sac {
@@ -142,8 +194,10 @@ impl Sac {
         let mut q2_target = q2.clone();
         q1_target.soft_update_from(&q1, 1.0);
         q2_target.soft_update_from(&q2, 1.0);
+        let policy = GaussianPolicy::new(cfg.state_dim, cfg.action_dim, &cfg.hidden, seed ^ 0x3333);
         Self {
-            policy: GaussianPolicy::new(cfg.state_dim, cfg.action_dim, &cfg.hidden, seed ^ 0x3333),
+            work: SacWork::new(&policy, &q1),
+            policy,
             q1,
             q2,
             q1_target,
@@ -185,8 +239,9 @@ impl Sac {
 
     /// Stochastic (exploration) action in `[-1, 1]^action_dim`.
     pub fn act(&mut self, state: &[f64]) -> Vec<f64> {
-        let (sample, _) = self.policy.sample(state, &mut self.rng);
-        sample.action
+        self.work.pi.states_mut(1).copy_from_slice(state);
+        self.policy.sample_batch(&mut self.work.pi, &mut self.rng);
+        self.work.pi.action().to_vec()
     }
 
     /// Deterministic (evaluation) action `tanh(μ(s))`.
@@ -210,82 +265,109 @@ impl Sac {
     }
 
     /// One SAC gradient round over a sampled mini-batch.
+    ///
+    /// Each stage is one batched pass over the whole minibatch, in the
+    /// order of the per-sample algorithm, and draws from the RNG in the
+    /// same order (replay indices, then ε for the target actions, then ε
+    /// for the actor's actions), so the agent evolves bit-identically to
+    /// processing the samples one at a time.
     pub fn update(&mut self) {
-        let b = self.cfg.batch_size;
         if self.replay.is_empty() {
             return;
         }
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(&mut self.rng, b)
-            .into_iter()
-            .cloned()
-            .collect();
+        let b = self.cfg.batch_size;
+        let (sd, ad) = (self.cfg.state_dim, self.cfg.action_dim);
         let alpha = self.alpha();
+        let w = &mut self.work;
+
+        // ---- Gather the minibatch ----
+        self.replay.sample_into(&mut self.rng, b, &mut w.batch);
+        let mb = &w.batch;
 
         // ---- Critic targets (no gradients) ----
-        let mut targets = Vec::with_capacity(b);
-        for t in &batch {
-            let (next_sample, _) = self.policy.sample(&t.next_state, &mut self.rng);
-            let xin = concat(&t.next_state, &next_sample.action);
-            let q1t = self.q1_target.forward(&xin)[0];
-            let q2t = self.q2_target.forward(&xin)[0];
-            let soft_q = q1t.min(q2t) - alpha * next_sample.log_prob;
-            let y = t.reward + self.cfg.gamma * (1.0 - t.done as u8 as f64) * soft_q;
-            targets.push(y);
+        w.pi.states_mut(b).copy_from_slice(&mb.next_states);
+        self.policy.sample_batch(&mut w.pi, &mut self.rng);
+        load_critic_inputs(
+            &mut w.q1,
+            &mut w.q2,
+            &mb.next_states,
+            w.pi.action(),
+            (sd, ad),
+        );
+        let q1t = self.q1_target.forward_batch(&mut w.q1);
+        let q2t = self.q2_target.forward_batch(&mut w.q2);
+        w.targets.clear();
+        for r in 0..b {
+            let soft_q = q1t[r].min(q2t[r]) - alpha * w.pi.log_prob()[r];
+            let y = mb.rewards[r] + self.cfg.gamma * (1.0 - mb.dones[r] as u8 as f64) * soft_q;
+            w.targets.push(y);
         }
 
         // ---- Critic regression ----
         self.q1.zero_grad();
         self.q2.zero_grad();
+        load_critic_inputs(&mut w.q1, &mut w.q2, &mb.states, &mb.actions, (sd, ad));
+        self.q1.forward_batch(&mut w.q1);
+        self.q2.forward_batch(&mut w.q2);
         let mut critic_sq_err = 0.0;
-        for (t, &y) in batch.iter().zip(&targets) {
-            let xin = concat(&t.state, &t.action);
-            let (q1v, c1) = self.q1.forward_cached(&xin);
-            let (q2v, c2) = self.q2.forward_cached(&xin);
-            critic_sq_err += ((q1v[0] - y).powi(2) + (q2v[0] - y).powi(2)) / (2.0 * b as f64);
-            self.q1.backward(&c1, &[2.0 * (q1v[0] - y)]);
-            self.q2.backward(&c2, &[2.0 * (q2v[0] - y)]);
+        for (r, &y) in w.targets.iter().enumerate() {
+            let (q1v, q2v) = (w.q1.output()[r], w.q2.output()[r]);
+            critic_sq_err += ((q1v - y).powi(2) + (q2v - y).powi(2)) / (2.0 * b as f64);
+            w.q1.grad_output_mut()[r] = 2.0 * (q1v - y);
+            w.q2.grad_output_mut()[r] = 2.0 * (q2v - y);
         }
         self.last_critic_loss = critic_sq_err;
+        self.q1.backward_batch(&mut w.q1, true, false);
+        self.q2.backward_batch(&mut w.q2, true, false);
         self.q1.adam_step_batch(&mut self.q1_adam, b);
         self.q2.adam_step_batch(&mut self.q2_adam, b);
 
         // ---- Actor update through min(Q1, Q2) ----
-        // The critic backward pass below is used only to obtain ∂Q/∂a;
-        // the parameter gradients it accumulates are discarded (zeroed at
-        // the start of the next critic round).
         self.policy.zero_grad();
-        self.q1.zero_grad();
-        self.q2.zero_grad();
+        w.pi.states_mut(b).copy_from_slice(&mb.states);
+        self.policy.sample_batch(&mut w.pi, &mut self.rng);
         let mut mean_log_prob = 0.0;
-        for t in &batch {
-            let (sample, pcache) = self.policy.sample(&t.state, &mut self.rng);
-            mean_log_prob += sample.log_prob / b as f64;
-            let xin = concat(&t.state, &sample.action);
-            let (q1v, c1) = self.q1.forward_cached(&xin);
-            let (q2v, c2) = self.q2.forward_cached(&xin);
-            // dQmin/da via the chosen (smaller) critic.
-            let grad_in = if q1v[0] <= q2v[0] {
-                self.q1.backward(&c1, &[1.0])
-            } else {
-                self.q2.backward(&c2, &[1.0])
-            };
-            let dq_da = &grad_in[self.cfg.state_dim..];
+        for &lp in w.pi.log_prob() {
+            mean_log_prob += lp / b as f64;
+        }
+        load_critic_inputs(&mut w.q1, &mut w.q2, &mb.states, w.pi.action(), (sd, ad));
+        self.q1.forward_batch(&mut w.q1);
+        self.q2.forward_batch(&mut w.q2);
+        // dQmin/da flows through the chosen (smaller) critic only. Each
+        // critic back-propagates just its own rows, for the input
+        // gradient alone: these critic parameter gradients would be
+        // discarded (the next critic round zeroes them first).
+        w.via_q1.clear();
+        w.via_q1.extend(
+            w.q1.output()
+                .iter()
+                .zip(w.q2.output())
+                .map(|(q1v, q2v)| q1v <= q2v),
+        );
+        w.q1.retain_rows(|r| w.via_q1[r]);
+        w.q2.retain_rows(|r| !w.via_q1[r]);
+        for q in [&mut w.q1, &mut w.q2] {
+            q.grad_output_mut().fill(1.0);
+        }
+        self.q1.backward_batch(&mut w.q1, false, true);
+        self.q2.backward_batch(&mut w.q2, false, true);
 
-            // L = α·logπ − Qmin; see policy.rs for the chain rule.
-            let mut dl_du = Vec::with_capacity(self.cfg.action_dim);
-            let mut dl_dlogstd = Vec::with_capacity(self.cfg.action_dim);
-            for (k, &dq) in dq_da.iter().enumerate().take(self.cfg.action_dim) {
-                let a = sample.action[k];
+        // L = α·logπ − Qmin; see policy.rs for the chain rule.
+        w.dl_du.resize(b * ad, 0.0);
+        let (mut g1, mut g2) = (
+            w.q1.grad_input().chunks_exact(sd + ad),
+            w.q2.grad_input().chunks_exact(sd + ad),
+        );
+        for (r, via_q1) in w.via_q1.iter().enumerate() {
+            let grad_in = if *via_q1 { g1.next() } else { g2.next() }.expect("one row per sample");
+            for (k, &dq) in grad_in[sd..].iter().enumerate() {
+                let a = w.pi.action()[r * ad + k];
                 let dlogp_du = squash_correction_grad(a);
                 let dq_du = dq * (1.0 - a * a);
-                dl_du.push(alpha * dlogp_du - dq_du);
-                dl_dlogstd.push(-alpha);
+                w.dl_du[r * ad + k] = alpha * dlogp_du - dq_du;
             }
-            self.policy
-                .backward_sample(&pcache, &sample, &dl_du, &dl_dlogstd);
         }
+        self.policy.backward_batch(&mut w.pi, &w.dl_du, -alpha);
         self.policy.adam_step_batch(&mut self.actor_adam, b);
 
         self.last_entropy = -mean_log_prob;
@@ -446,10 +528,14 @@ impl mtat_snapshot::Snap for Sac {
     }
 
     fn unsnap(r: &mut mtat_snapshot::SnapReader<'_>) -> Result<Self, mtat_snapshot::SnapError> {
+        let cfg = SacConfig::unsnap(r)?;
+        let policy = GaussianPolicy::unsnap(r)?;
+        let q1 = Mlp::unsnap(r)?;
         Ok(Self {
-            cfg: SacConfig::unsnap(r)?,
-            policy: GaussianPolicy::unsnap(r)?,
-            q1: Mlp::unsnap(r)?,
+            work: SacWork::new(&policy, &q1),
+            cfg,
+            policy,
+            q1,
             q2: Mlp::unsnap(r)?,
             q1_target: Mlp::unsnap(r)?,
             q2_target: Mlp::unsnap(r)?,
