@@ -17,7 +17,12 @@
 //! plus the learning kernel behind SAC pretraining:
 //!
 //! * **sac_update** — `Sac::update` rounds at `SacConfig::paper` (batch
-//!   64, 64×64 twin critics) on a filled replay buffer (updates/sec).
+//!   64, 64×64 twin critics) on a filled replay buffer (updates/sec);
+//!
+//! and the PEBS sampler's scatter, the largest stage of a tick:
+//!
+//! * **sampler_weighted** — `sample_weighted_estimates_touched` over the
+//!   four paper BE tables at their per-tick event counts (events/sec).
 //!
 //! Writes `BENCH_micro.json` (override with `--out PATH`); CI uploads
 //! the file as an artifact next to the span traces. Absolute numbers
@@ -26,12 +31,16 @@
 
 use std::time::Instant;
 
+use mtat_core::config::SimConfig;
+use mtat_obs::Obs;
 use mtat_rl::replay::Transition;
 use mtat_rl::sac::{Sac, SacConfig};
 use mtat_tiermem::histogram::{AccessHistogram, NUM_BINS};
 use mtat_tiermem::memory::{InitialPlacement, MemorySpec, TieredMemory};
 use mtat_tiermem::page::{PageId, PageRegion, Tier};
+use mtat_tiermem::sampler::{AccessSampler, TouchedSet};
 use mtat_tiermem::MIB;
+use mtat_workloads::be::BeSpec;
 
 /// Minimum wall time per measurement; repeats until exceeded so quick
 /// primitives still get a stable rate.
@@ -150,6 +159,36 @@ fn bench_sac_update() -> f64 {
     updates as f64 / start.elapsed().as_secs_f64()
 }
 
+/// One paper tick of BE sampling per round: each of the four paper BE
+/// tables (paper-scale pages and period) gets the true access count of
+/// one tick at its ideal hit ratio with the FMem split evenly between
+/// them. Returns sampled events/sec.
+fn bench_sampler_weighted() -> f64 {
+    let cfg = SimConfig::paper();
+    let page = cfg.mem.page_size();
+    let share = cfg.mem.fmem_bytes() / 4;
+    let mut bes: Vec<_> = BeSpec::all_paper_workloads()
+        .into_iter()
+        .map(|be| {
+            let n = be.rss_bytes.div_ceil(page) as usize;
+            let total_true = be.accesses_per_sec(be.ideal_hit_ratio(share, page)) * cfg.tick_secs;
+            let table = be.popularity(n).to_weight_table();
+            (table, total_true, vec![0u64; n], TouchedSet::default())
+        })
+        .collect();
+    let obs = Obs::enabled();
+    let mut sampler = AccessSampler::new(cfg.sampler_period, 1).unwrap();
+    sampler.set_obs(obs.clone());
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < MIN_SECS {
+        for (table, total_true, out, touched) in &mut bes {
+            sampler.sample_weighted_estimates_touched(out, touched, *total_true, table);
+        }
+    }
+    let events = obs.counter_value("tiermem.sampler.events").unwrap_or(0);
+    events as f64 / start.elapsed().as_secs_f64()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let out_path = args
@@ -171,6 +210,9 @@ fn main() {
     eprintln!("# microbench: sac_update (paper agent, batch 64)...");
     let sac_updates = bench_sac_update();
     eprintln!("#   {sac_updates:.0} updates/s");
+    eprintln!("# microbench: sampler_weighted (paper BE tables, one tick each)...");
+    let sampler_events = bench_sampler_weighted();
+    eprintln!("#   {sampler_events:.0} events/s");
 
     let json = format!(
         "{{\n  \"schema\": 1,\n  \
@@ -178,7 +220,8 @@ fn main() {
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
          \"hottest_scan_pages_per_sec\": {scan_pages:.0},\n  \
-         \"sac_update_per_sec\": {sac_updates:.0}\n}}\n"
+         \"sac_update_per_sec\": {sac_updates:.0},\n  \
+         \"sampler_weighted_events_per_sec\": {sampler_events:.0}\n}}\n"
     );
     print!("{json}");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -12,6 +12,8 @@
 //! real daemon does — undersampling cold pages to zero and occasionally
 //! over-ranking lukewarm ones.
 
+use std::hint::black_box;
+
 use mtat_obs::Obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,18 +140,20 @@ impl WeightTable {
     /// to the table weights. The high 32 bits pick an alias slot by
     /// multiply-shift; the low 32 bits are the fixed-point coin deciding
     /// slot vs. alias. O(1), one 8-byte table access per event.
+    ///
+    /// The coin is resolved by a mask, not a branch: on mixed slots it
+    /// is a fair random bit, so a branch mispredicts about every other
+    /// event. `black_box` hides the mask's origin from LLVM, whose x86
+    /// cmov-conversion pass would otherwise turn the select back into a
+    /// conditional jump.
     #[inline]
     fn event_rank(&self, r: u64) -> usize {
-        let n = self.alias.len() as u64;
-        let j = (((r >> 32) * n) >> 32) as usize;
+        let j = self.slot_index(r);
         debug_assert!(j < self.alias.len());
         // SAFETY: `(x >> 32) * n >> 32 < n` for any 32-bit `x >> 32`.
         let slot = unsafe { *self.alias.get_unchecked(j) };
-        if (r as u32) < slot.thresh {
-            j
-        } else {
-            slot.alias as usize
-        }
+        let to_alias = black_box(usize::from(r as u32 >= slot.thresh)).wrapping_neg();
+        (j & !to_alias) | (slot.alias as usize & to_alias)
     }
 }
 
@@ -208,7 +212,9 @@ const SCATTER_CHUNK: usize = 64;
 
 /// Best-effort cache-line prefetch — the pipelined scatter loops hide
 /// the alias-table and estimate-buffer miss latency behind the RNG
-/// work of later events. A no-op on non-x86 targets.
+/// work of later events. A no-op on non-x86 targets. Callers pass
+/// `as_ptr().wrapping_add(i)` rather than `&slice[i]`: any address is
+/// allowed, so a bounds check would only add instructions per event.
 #[inline(always)]
 fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
@@ -363,6 +369,10 @@ pub struct AccessSampler {
     /// configured period — so estimates read low, as a real daemon's
     /// would when the PMU silently drops records.
     fault_keep: f64,
+    /// `scale[k]` = [`scale_up`]`(k, period)`: the period scale-up of
+    /// the small event counts nearly every touched rank holds, without
+    /// a libm `round` call each (baseline x86-64 has no `roundsd`).
+    scale: Box<[u64; SCALE_TABLE_LEN]>,
     /// Telemetry handle (disabled by default; owns no RNG, so it can
     /// never perturb the sample stream).
     obs: Obs,
@@ -389,6 +399,7 @@ impl AccessSampler {
             rng: StdRng::seed_from_u64(seed),
             fault_blackout: false,
             fault_keep: 1.0,
+            scale: Box::new(std::array::from_fn(|k| scale_up(k as u64, period))),
             obs: Obs::disabled(),
         })
     }
@@ -432,7 +443,11 @@ impl AccessSampler {
     /// per-page counters from PEBS records.
     #[inline]
     pub fn estimate_from_samples(&self, sampled: u64) -> u64 {
-        (sampled as f64 * self.period).round() as u64
+        if sampled < SCALE_TABLE_LEN as u64 {
+            self.scale[sampled as usize]
+        } else {
+            scale_up(sampled, self.period)
+        }
     }
 
     /// Convenience: samples a whole per-page count vector in place,
@@ -541,7 +556,7 @@ impl AccessSampler {
     /// Converts sampled event counts to estimated true counts in place.
     fn scale_events_to_estimates(&self, out: &mut [u64]) {
         for v in out.iter_mut() {
-            *v = (*v as f64 * self.period).round() as u64;
+            *v = self.estimate_from_samples(*v);
         }
     }
 
@@ -578,7 +593,7 @@ impl AccessSampler {
             let k = left.min(SCATTER_CHUNK);
             for slot in ranks.iter_mut().take(k) {
                 let r = self.rng.gen_range(0..n);
-                prefetch(&out[r]);
+                prefetch(out.as_ptr().wrapping_add(r));
                 *slot = r;
             }
             for &r in ranks.iter().take(k) {
@@ -641,12 +656,12 @@ impl AccessSampler {
             let k = left.min(SCATTER_CHUNK);
             for slot in draws.iter_mut().take(k) {
                 let r = self.rng.next_u64();
-                prefetch(&table.alias[table.slot_index(r)]);
+                prefetch(table.alias.as_ptr().wrapping_add(table.slot_index(r)));
                 *slot = r;
             }
             for i in 0..k {
                 let rank = table.event_rank(draws[i]);
-                prefetch(&out[rank]);
+                prefetch(out.as_ptr().wrapping_add(rank));
                 ranks[i] = rank;
             }
             for &rank in ranks.iter().take(k) {
@@ -676,10 +691,21 @@ impl AccessSampler {
             // all below `out.len()`.
             unsafe {
                 let v = out.get_unchecked_mut(r);
-                *v = (*v as f64 * self.period).round() as u64;
+                *v = self.estimate_from_samples(*v);
             }
         }
     }
+}
+
+/// Entries of [`AccessSampler`]'s scale-up table (2 KiB, L1-resident).
+/// Touched ranks mostly hold a handful of events; only the hottest few
+/// exceed this and take the computed path.
+const SCALE_TABLE_LEN: usize = 256;
+
+/// Estimated true count for `k` sampled events: `k · period`, rounded.
+#[inline]
+fn scale_up(k: u64, period: f64) -> u64 {
+    (k as f64 * period).round() as u64
 }
 
 /// Draws from Poisson(mean) — Knuth's method for small means, a normal
@@ -719,6 +745,8 @@ fn poisson<R: Rng>(rng: &mut R, mean: f64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -943,6 +971,111 @@ mod tests {
             (tail_b as f64 / tail_expect - 1.0).abs() < 0.1,
             "tail batched {tail_b} vs {tail_expect}"
         );
+    }
+
+    /// The branchy select `event_rank` replaced, kept as the reference
+    /// the branch-free kernel must agree with.
+    fn event_rank_branchy(t: &WeightTable, r: u64) -> usize {
+        let j = t.slot_index(r);
+        let slot = t.alias[j];
+        if (r as u32) < slot.thresh {
+            j
+        } else {
+            slot.alias as usize
+        }
+    }
+
+    /// Draws whose high bits select slot `j` of an `n`-slot table and
+    /// whose coins sit on and around the slot's threshold.
+    fn edge_draws(j: usize, n: usize, thresh: u32) -> [u64; 5] {
+        let hi = ((j as u64) << 32).div_ceil(n as u64);
+        let coins = [
+            0,
+            thresh.saturating_sub(1),
+            thresh,
+            thresh.saturating_add(1),
+            u32::MAX,
+        ];
+        coins.map(|c| (hi << 32) | u64::from(c))
+    }
+
+    /// Asserts the branch-free rank equals the reference for `draws`
+    /// and for every slot's threshold-edge coins.
+    fn check_ranks(t: &WeightTable, draws: &[u64]) -> Result<(), TestCaseError> {
+        for &r in draws {
+            prop_assert_eq!(t.event_rank(r), event_rank_branchy(t, r));
+        }
+        for (j, slot) in t.alias.iter().enumerate() {
+            for r in edge_draws(j, t.alias.len(), slot.thresh) {
+                prop_assert_eq!(t.slot_index(r), j);
+                prop_assert_eq!(t.event_rank(r), event_rank_branchy(t, r));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Alias tables built from random weights, a quarter of them
+        /// zero: the branch-free rank matches the branchy reference.
+        #[test]
+        fn branch_free_rank_matches_reference(
+            ws in prop::collection::vec((0u32..4, 0.0f64..1.0), 1..300),
+            draws in prop::collection::vec(0u64..u64::MAX, 256),
+        ) {
+            let weights: Vec<f64> = ws.iter().map(|&(z, w)| if z == 0 { 0.0 } else { w }).collect();
+            let t = WeightTable::new_unsorted(&weights).unwrap();
+            if t.total() > 0.0 {
+                check_ranks(&t, &draws)?;
+            }
+        }
+
+        /// Hand-built slots the Vose construction rarely yields:
+        /// self-aliases, `thresh = u32::MAX`, `thresh = 0` and aliases
+        /// far from their slot.
+        #[test]
+        fn branch_free_rank_matches_reference_on_raw_slots(
+            raw in prop::collection::vec((0u32..u32::MAX, 0u32..4, 0u32..u32::MAX), 1..200),
+            draws in prop::collection::vec(0u64..u64::MAX, 256),
+        ) {
+            let n = raw.len();
+            let mut t = WeightTable::new(&vec![1.0; n]).unwrap();
+            t.alias = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(thresh, kind, alias))| match kind {
+                    0 => AliasSlot { thresh: u32::MAX, alias: i as u32 },
+                    1 => AliasSlot { thresh: 0, alias: alias % n as u32 },
+                    2 => AliasSlot { thresh, alias: i as u32 },
+                    _ => AliasSlot { thresh, alias: alias % n as u32 },
+                })
+                .collect();
+            check_ranks(&t, &draws)?;
+        }
+
+        /// The scale-up table agrees with the formula at random periods,
+        /// on and past its end.
+        #[test]
+        fn scale_table_matches_formula_at_random_periods(
+            period in 1.0f64..20_000.0,
+            k in 0u64..2 * SCALE_TABLE_LEN as u64,
+        ) {
+            let s = AccessSampler::new(period, 0).unwrap();
+            prop_assert_eq!(s.estimate_from_samples(k), (k as f64 * period).round() as u64);
+        }
+    }
+
+    #[test]
+    fn scale_table_matches_formula() {
+        for period in [1.0, 2.5, 64.0, 101.0, 1009.0, 10090.0] {
+            let s = AccessSampler::new(period, 0).unwrap();
+            for k in 0..SCALE_TABLE_LEN as u64 + 64 {
+                assert_eq!(
+                    s.estimate_from_samples(k),
+                    (k as f64 * period).round() as u64,
+                    "period {period}, k {k}"
+                );
+            }
+        }
     }
 
     #[test]
