@@ -18,6 +18,9 @@
 //!
 //! * **sac_update** — `Sac::update` rounds at `SacConfig::paper` (batch
 //!   64, 64×64 twin critics) on a filled replay buffer (updates/sec);
+//! * **pretrain** — the wall time of one full 12k-step
+//!   `LcPartitioner::pretrained` on the paper host, as every process
+//!   that builds `mtat_full` pays it (seconds, median of 3);
 //!
 //! and the PEBS sampler's scatter, the largest stage of a tick:
 //!
@@ -32,15 +35,19 @@
 use std::time::Instant;
 
 use mtat_core::config::SimConfig;
+use mtat_core::policy::mtat::MtatConfig;
+use mtat_core::ppm::lc::{LcPartitioner, LcPartitionerConfig};
 use mtat_obs::Obs;
 use mtat_rl::replay::Transition;
 use mtat_rl::sac::{Sac, SacConfig};
+use mtat_snapshot::{fnv1a64, Snap, SnapWriter};
 use mtat_tiermem::histogram::{AccessHistogram, NUM_BINS};
 use mtat_tiermem::memory::{InitialPlacement, MemorySpec, TieredMemory};
 use mtat_tiermem::page::{PageId, PageRegion, Tier};
 use mtat_tiermem::sampler::{AccessSampler, TouchedSet};
 use mtat_tiermem::MIB;
 use mtat_workloads::be::BeSpec;
+use mtat_workloads::lc::LcSpec;
 
 /// Minimum wall time per measurement; repeats until exceeded so quick
 /// primitives still get a stable rate.
@@ -159,6 +166,42 @@ fn bench_sac_update() -> f64 {
     updates as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Full SAC pretraining as `MtatPolicy` runs it (Redis on the paper
+/// host, `MtatConfig::full`'s steps and seed), three times. Returns the
+/// median wall seconds and the FNV-1a-64 of the trained agent's `Snap`
+/// bytes, which must be the same every time.
+fn bench_pretrain() -> (f64, u64) {
+    let sim = SimConfig::paper();
+    let mtat = MtatConfig::full();
+    let cfg = LcPartitionerConfig {
+        fmem_total: sim.mem.fmem_bytes(),
+        max_step_bytes: sim.migration_bw * sim.interval_secs / 2.0,
+        online_learning: true,
+        explore: false,
+    };
+    let mut secs = Vec::new();
+    let mut digests = Vec::new();
+    for _ in 0..3 {
+        let start = Instant::now();
+        let p = LcPartitioner::pretrained(
+            &LcSpec::redis(),
+            cfg.clone(),
+            mtat.pretrain_steps,
+            mtat.seed,
+        );
+        secs.push(start.elapsed().as_secs_f64());
+        let mut w = SnapWriter::new();
+        p.agent().snap(&mut w);
+        digests.push(fnv1a64(&w.into_bytes()));
+    }
+    assert!(
+        digests.windows(2).all(|d| d[0] == d[1]),
+        "pretraining is not deterministic"
+    );
+    secs.sort_by(f64::total_cmp);
+    (secs[1], digests[0])
+}
+
 /// One paper tick of BE sampling per round: each of the four paper BE
 /// tables (paper-scale pages and period) gets the true access count of
 /// one tick at its ideal hit ratio with the FMem split evenly between
@@ -210,6 +253,9 @@ fn main() {
     eprintln!("# microbench: sac_update (paper agent, batch 64)...");
     let sac_updates = bench_sac_update();
     eprintln!("#   {sac_updates:.0} updates/s");
+    eprintln!("# microbench: pretrain (12k-step paper agent, median of 3)...");
+    let (pretrain_secs, agent_digest) = bench_pretrain();
+    eprintln!("#   {pretrain_secs:.3} s, agent {agent_digest:016x}");
     eprintln!("# microbench: sampler_weighted (paper BE tables, one tick each)...");
     let sampler_events = bench_sampler_weighted();
     eprintln!("#   {sampler_events:.0} events/s");
@@ -221,6 +267,7 @@ fn main() {
          \"hottest_scan_per_sec\": {scans:.0},\n  \
          \"hottest_scan_pages_per_sec\": {scan_pages:.0},\n  \
          \"sac_update_per_sec\": {sac_updates:.0},\n  \
+         \"pretrain_secs\": {pretrain_secs:.3},\n  \
          \"sampler_weighted_events_per_sec\": {sampler_events:.0}\n}}\n"
     );
     print!("{json}");

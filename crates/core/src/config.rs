@@ -3,14 +3,13 @@
 use mtat_tiermem::bandwidth::BandwidthModel;
 use mtat_tiermem::memory::MemorySpec;
 use mtat_tiermem::{GIB, MIB};
-use serde::{Deserialize, Serialize};
 
 /// Global configuration of a co-location experiment.
 ///
 /// Defaults reproduce the paper's testbed (§5): 32 GiB FMem, 256 GiB
 /// SMem, 73/202 ns tier latencies (baked into the workload models),
 /// ~4 GB/s of migration bandwidth (§5.5), and PEBS-style sampling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Tier capacities and page size.
     pub mem: MemorySpec,

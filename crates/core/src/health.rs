@@ -231,8 +231,8 @@ pub struct HealthEvent {
 }
 
 impl HealthEvent {
-    /// Renders the event as one JSON line (hand-rolled: the vendored
-    /// serde is a no-op stub by design).
+    /// Renders the event as one JSON line (hand-rolled, like all JSON in
+    /// the workspace).
     pub fn jsonl(&self) -> String {
         format!(
             "{{\"t\":{:.3},\"kind\":\"{}\",\"detail\":\"{}\",\"state\":\"{}\"}}",

@@ -10,10 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of the annealing search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnnealingConfig {
     /// Initial temperature `T₀`.
     pub t0: f64,

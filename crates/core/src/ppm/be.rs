@@ -8,7 +8,6 @@
 //! whole-GiB units, seeded from the even split.
 
 use mtat_tiermem::GIB;
-use serde::{Deserialize, Serialize};
 
 use crate::ppm::annealing::{anneal, even_split, AnnealingConfig};
 use crate::ppm::profiler::BeProfile;
@@ -37,7 +36,7 @@ pub struct AnnealStats {
 }
 
 /// BE partitioner: owns the offline profiles and the SA configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BePartitioner {
     profiles: Vec<BeProfile>,
     cfg: AnnealingConfig,

@@ -10,12 +10,10 @@
 //! (multiplicative-increase, linear-decrease — deliberately asymmetric,
 //! since under-allocation is the expensive direction for an SLO).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ppm::lc::LcObservation;
 
 /// Configuration of the proportional controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Total FMem in bytes.
     pub fmem_total: u64,
@@ -49,7 +47,7 @@ impl ControllerConfig {
 }
 
 /// Proportional LC allocation controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProportionalController {
     cfg: ControllerConfig,
     target_bytes: u64,

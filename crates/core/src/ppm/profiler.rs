@@ -8,12 +8,11 @@
 //! hotness-based placement, with linear interpolation between points.
 
 use mtat_workloads::be::BeSpec;
-use serde::{Deserialize, Serialize};
 
 use mtat_tiermem::GIB;
 
 /// Offline profile of one BE workload: throughput vs FMem allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeProfile {
     /// Workload name.
     pub name: String,

@@ -1,12 +1,11 @@
 //! Experiment metrics: time series, SLO accounting, fairness.
 
 use mtat_tiermem::error::TierMemError;
-use serde::{Deserialize, Serialize};
 
 use crate::supervisor::DegradationState;
 
 /// One simulation tick's observations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TickRecord {
     /// Simulation time at the start of the tick (seconds).
     pub t: f64,
@@ -35,10 +34,10 @@ pub struct TickRecord {
 
 /// One SLO alert state transition, as recorded in the run summary.
 ///
-/// A serializable mirror of [`mtat_obs::alert::AlertTransition`] —
-/// states are carried as their lowercase labels so the record survives
-/// serde round-trips without coupling the obs crate to serde.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A plain-data mirror of [`mtat_obs::alert::AlertTransition`] — states
+/// are carried as their lowercase labels, so the record renders as JSON
+/// ([`Self::to_json`]) without the obs crate's types.
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlertRecord {
     /// Rule name (`slo_fast_burn`, ...).
     pub rule: String,
@@ -86,7 +85,7 @@ impl AlertRecord {
 }
 
 /// The result of one co-location run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Policy name.
     pub policy: String,
@@ -122,7 +121,6 @@ pub struct RunResult {
     /// SLO burn-rate alert transitions, in sim-time order (empty when
     /// no alert rules were armed). Deterministic across replays —
     /// timestamps included — because the engine runs on sim time only.
-    #[serde(default)]
     pub alerts: Vec<AlertRecord>,
 }
 

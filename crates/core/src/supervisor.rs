@@ -41,10 +41,8 @@
 //! While a fault persists the intervals are not clean, so the ladder
 //! holds its position instead of oscillating.
 
-use serde::{Deserialize, Serialize};
-
 /// Which partitioning mechanism is currently in control.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationState {
     /// Nominal: the SAC RL agent sizes the LC partition.
     Rl,
@@ -66,7 +64,7 @@ impl DegradationState {
 }
 
 /// Supervisor thresholds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Demote after this many consecutive SLO-violating intervals.
     pub demote_after_violations: u32,
@@ -100,7 +98,7 @@ impl Default for SupervisorConfig {
 }
 
 /// A recorded mode change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
     /// Simulation time of the change (seconds).
     pub at_secs: f64,

@@ -62,8 +62,11 @@ proptest! {
         }
     }
 
-    /// MSE loss + gradient are consistent: a small step against the
-    /// gradient reduces the loss.
+    /// MSE loss + gradient are consistent: Adam's first step against the
+    /// gradient moves the output toward the target. That step moves every
+    /// parameter by about `lr` whatever the gradient's size, so it can
+    /// overshoot a target nearer than the move; the loss must fall
+    /// whenever the move is shorter than twice the residual.
     #[test]
     fn gradient_step_reduces_loss(
         seed in 0u64..1000,
@@ -83,7 +86,11 @@ proptest! {
         net.adam_step(&mut adam);
         let y1 = net.forward(&x);
         let loss1 = loss::mse(&y1, &[target]);
-        prop_assert!(loss1 < loss0 + 1e-12, "{loss0} -> {loss1}");
+        let (moved, residual) = (y1[0] - y0[0], target - y0[0]);
+        prop_assert!(moved * residual > 0.0, "moved {moved} against residual {residual}");
+        if moved.abs() < 2.0 * residual.abs() {
+            prop_assert!(loss1 < loss0 + 1e-12, "{loss0} -> {loss1} after moving {moved}");
+        }
     }
 
     /// Soft target updates converge to the source network: parameters

@@ -1,7 +1,7 @@
 //! Snapshot export: hand-rolled JSON and Prometheus text exposition.
 //!
-//! The build environment vendors only API stubs for serde, so — as
-//! everywhere else in the workspace — serialization is written by hand.
+//! The workspace has no serialization framework, so — as everywhere
+//! else — serialization is written by hand.
 //! The float/string helpers here are shared with the bench bins
 //! (`chaos_matrix`, `perf_baseline`) so the workspace has exactly one
 //! JSON number formatter instead of a copy per binary.

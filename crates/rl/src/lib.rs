@@ -18,6 +18,8 @@
 //! * [`sac::Sac`] — the full agent: critic regression against the soft
 //!   Bellman target, actor update through `min(Q1, Q2)`, optional
 //!   automatic entropy-temperature tuning.
+//! * [`join()`] — the two-way fork-join that runs the twin critics of
+//!   each update on two cores.
 //!
 //! ## Example
 //!
@@ -33,11 +35,13 @@
 //! ```
 
 pub mod env;
+pub mod join;
 pub mod policy;
 pub mod replay;
 pub mod sac;
 
 pub use env::Environment;
+pub use join::join;
 pub use policy::GaussianPolicy;
 pub use replay::{ReplayBuffer, Transition};
 pub use sac::{Sac, SacConfig};

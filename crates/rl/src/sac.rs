@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::env::Environment;
+use crate::join::join;
 use crate::policy::{squash_correction_grad, GaussianPolicy, PolicyBatch};
 use crate::replay::{Minibatch, ReplayBuffer, Transition};
 
@@ -181,6 +182,35 @@ fn load_critic_inputs(
     q2.input_mut(n).copy_from_slice(q1.input());
 }
 
+/// One critic's regression step toward the soft Bellman `targets`, over
+/// the `(s, a)` rows already in `ws`: MSE gradient, backward, Adam.
+fn regress(q: &mut Mlp, adam: &mut Adam, ws: &mut MlpWork, targets: &[f64]) {
+    q.zero_grad();
+    q.forward_batch(ws);
+    for (r, &y) in targets.iter().enumerate() {
+        ws.grad_output_mut()[r] = 2.0 * (ws.output()[r] - y);
+    }
+    q.backward_batch(ws, true, false);
+    q.adam_step_batch(adam, targets.len());
+}
+
+/// The actor phase's part of one critic: back-propagates an output
+/// gradient of 1 through the rows `keep` selects, for `∂Q/∂(s, a)`
+/// alone (the parameter gradients would be discarded: the next critic
+/// round zeroes them first), then soft-updates the critic's target copy.
+fn input_grad_and_track(
+    q: &mut Mlp,
+    target: &mut Mlp,
+    ws: &mut MlpWork,
+    keep: impl FnMut(usize) -> bool,
+    tau: f64,
+) {
+    ws.retain_rows(keep);
+    ws.grad_output_mut().fill(1.0);
+    q.backward_batch(ws, false, true);
+    target.soft_update_from(q, tau);
+}
+
 impl Sac {
     /// Creates an agent with freshly initialized networks.
     pub fn new(cfg: SacConfig, seed: u64) -> Self {
@@ -270,7 +300,11 @@ impl Sac {
     /// order of the per-sample algorithm, and draws from the RNG in the
     /// same order (replay indices, then ε for the target actions, then ε
     /// for the actor's actions), so the agent evolves bit-identically to
-    /// processing the samples one at a time.
+    /// processing the samples one at a time. The twin critics share no
+    /// state until their outputs are compared, so every critic stage runs
+    /// `Q₁` and `Q₂` as the two halves of one [`join`]; the policy passes,
+    /// the RNG draws and every reduction across both critics stay on the
+    /// caller.
     pub fn update(&mut self) {
         if self.replay.is_empty() {
             return;
@@ -278,96 +312,83 @@ impl Sac {
         let b = self.cfg.batch_size;
         let (sd, ad) = (self.cfg.state_dim, self.cfg.action_dim);
         let alpha = self.alpha();
-        let w = &mut self.work;
+        let tau = self.cfg.tau;
+        let SacWork {
+            batch: mb,
+            targets,
+            via_q1,
+            dl_du,
+            pi,
+            q1: w1,
+            q2: w2,
+        } = &mut self.work;
 
         // ---- Gather the minibatch ----
-        self.replay.sample_into(&mut self.rng, b, &mut w.batch);
-        let mb = &w.batch;
+        self.replay.sample_into(&mut self.rng, b, mb);
 
         // ---- Critic targets (no gradients) ----
-        w.pi.states_mut(b).copy_from_slice(&mb.next_states);
-        self.policy.sample_batch(&mut w.pi, &mut self.rng);
-        load_critic_inputs(
-            &mut w.q1,
-            &mut w.q2,
-            &mb.next_states,
-            w.pi.action(),
-            (sd, ad),
+        pi.states_mut(b).copy_from_slice(&mb.next_states);
+        self.policy.sample_batch(pi, &mut self.rng);
+        load_critic_inputs(w1, w2, &mb.next_states, pi.action(), (sd, ad));
+        let (q1t, q2t) = join(
+            || self.q1_target.forward_batch(w1),
+            || self.q2_target.forward_batch(w2),
         );
-        let q1t = self.q1_target.forward_batch(&mut w.q1);
-        let q2t = self.q2_target.forward_batch(&mut w.q2);
-        w.targets.clear();
+        targets.clear();
         for r in 0..b {
-            let soft_q = q1t[r].min(q2t[r]) - alpha * w.pi.log_prob()[r];
+            let soft_q = q1t[r].min(q2t[r]) - alpha * pi.log_prob()[r];
             let y = mb.rewards[r] + self.cfg.gamma * (1.0 - mb.dones[r] as u8 as f64) * soft_q;
-            w.targets.push(y);
+            targets.push(y);
         }
 
         // ---- Critic regression ----
-        self.q1.zero_grad();
-        self.q2.zero_grad();
-        load_critic_inputs(&mut w.q1, &mut w.q2, &mb.states, &mb.actions, (sd, ad));
-        self.q1.forward_batch(&mut w.q1);
-        self.q2.forward_batch(&mut w.q2);
+        load_critic_inputs(w1, w2, &mb.states, &mb.actions, (sd, ad));
+        join(
+            || regress(&mut self.q1, &mut self.q1_adam, w1, targets),
+            || regress(&mut self.q2, &mut self.q2_adam, w2, targets),
+        );
         let mut critic_sq_err = 0.0;
-        for (r, &y) in w.targets.iter().enumerate() {
-            let (q1v, q2v) = (w.q1.output()[r], w.q2.output()[r]);
+        for ((&y, &q1v), &q2v) in targets.iter().zip(w1.output()).zip(w2.output()) {
             critic_sq_err += ((q1v - y).powi(2) + (q2v - y).powi(2)) / (2.0 * b as f64);
-            w.q1.grad_output_mut()[r] = 2.0 * (q1v - y);
-            w.q2.grad_output_mut()[r] = 2.0 * (q2v - y);
         }
         self.last_critic_loss = critic_sq_err;
-        self.q1.backward_batch(&mut w.q1, true, false);
-        self.q2.backward_batch(&mut w.q2, true, false);
-        self.q1.adam_step_batch(&mut self.q1_adam, b);
-        self.q2.adam_step_batch(&mut self.q2_adam, b);
 
         // ---- Actor update through min(Q1, Q2) ----
         self.policy.zero_grad();
-        w.pi.states_mut(b).copy_from_slice(&mb.states);
-        self.policy.sample_batch(&mut w.pi, &mut self.rng);
+        pi.states_mut(b).copy_from_slice(&mb.states);
+        self.policy.sample_batch(pi, &mut self.rng);
         let mut mean_log_prob = 0.0;
-        for &lp in w.pi.log_prob() {
+        for &lp in pi.log_prob() {
             mean_log_prob += lp / b as f64;
         }
-        load_critic_inputs(&mut w.q1, &mut w.q2, &mb.states, w.pi.action(), (sd, ad));
-        self.q1.forward_batch(&mut w.q1);
-        self.q2.forward_batch(&mut w.q2);
-        // dQmin/da flows through the chosen (smaller) critic only. Each
-        // critic back-propagates just its own rows, for the input
-        // gradient alone: these critic parameter gradients would be
-        // discarded (the next critic round zeroes them first).
-        w.via_q1.clear();
-        w.via_q1.extend(
-            w.q1.output()
-                .iter()
-                .zip(w.q2.output())
-                .map(|(q1v, q2v)| q1v <= q2v),
+        load_critic_inputs(w1, w2, &mb.states, pi.action(), (sd, ad));
+        let (q1v, q2v) = join(|| self.q1.forward_batch(w1), || self.q2.forward_batch(w2));
+        // dQmin/da flows through the chosen (smaller) critic only.
+        via_q1.clear();
+        via_q1.extend(q1v.iter().zip(q2v).map(|(q1v, q2v)| q1v <= q2v));
+        // The critics are final for this round: each back-propagates its
+        // own rows for the input gradient, then its target tracks it.
+        join(
+            || input_grad_and_track(&mut self.q1, &mut self.q1_target, w1, |r| via_q1[r], tau),
+            || input_grad_and_track(&mut self.q2, &mut self.q2_target, w2, |r| !via_q1[r], tau),
         );
-        w.q1.retain_rows(|r| w.via_q1[r]);
-        w.q2.retain_rows(|r| !w.via_q1[r]);
-        for q in [&mut w.q1, &mut w.q2] {
-            q.grad_output_mut().fill(1.0);
-        }
-        self.q1.backward_batch(&mut w.q1, false, true);
-        self.q2.backward_batch(&mut w.q2, false, true);
 
         // L = α·logπ − Qmin; see policy.rs for the chain rule.
-        w.dl_du.resize(b * ad, 0.0);
+        dl_du.resize(b * ad, 0.0);
         let (mut g1, mut g2) = (
-            w.q1.grad_input().chunks_exact(sd + ad),
-            w.q2.grad_input().chunks_exact(sd + ad),
+            w1.grad_input().chunks_exact(sd + ad),
+            w2.grad_input().chunks_exact(sd + ad),
         );
-        for (r, via_q1) in w.via_q1.iter().enumerate() {
+        for (r, via_q1) in via_q1.iter().enumerate() {
             let grad_in = if *via_q1 { g1.next() } else { g2.next() }.expect("one row per sample");
             for (k, &dq) in grad_in[sd..].iter().enumerate() {
-                let a = w.pi.action()[r * ad + k];
+                let a = pi.action()[r * ad + k];
                 let dlogp_du = squash_correction_grad(a);
                 let dq_du = dq * (1.0 - a * a);
-                w.dl_du[r * ad + k] = alpha * dlogp_du - dq_du;
+                dl_du[r * ad + k] = alpha * dlogp_du - dq_du;
             }
         }
-        self.policy.backward_batch(&mut w.pi, &w.dl_du, -alpha);
+        self.policy.backward_batch(pi, dl_du, -alpha);
         self.policy.adam_step_batch(&mut self.actor_adam, b);
 
         self.last_entropy = -mean_log_prob;
@@ -380,10 +401,6 @@ impl Sac {
             self.log_alpha -= self.cfg.alpha_lr * grad;
             self.log_alpha = self.log_alpha.clamp(-10.0, 2.0);
         }
-
-        // ---- Target soft updates ----
-        self.q1_target.soft_update_from(&self.q1, self.cfg.tau);
-        self.q2_target.soft_update_from(&self.q2, self.cfg.tau);
         self.updates_done += 1;
     }
 

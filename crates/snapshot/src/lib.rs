@@ -7,10 +7,10 @@
 //! persistence layer that makes that split real in the reproduction:
 //!
 //! * [`Snap`], [`SnapWriter`], [`SnapReader`] — a small deterministic
-//!   binary codec. The vendored `serde` is a marker-trait stub with no
-//!   real serialization, so state-owning structs across the workspace
-//!   implement `Snap` (or expose `save_state`/`load_state` methods built
-//!   on the writer/reader) by hand. Floats travel as raw IEEE-754 bits,
+//!   binary codec. The workspace has no serialization framework, so
+//!   state-owning structs implement `Snap` (or expose
+//!   `save_state`/`load_state` methods built on the writer/reader) by
+//!   hand. Floats travel as raw IEEE-754 bits,
 //!   which is what makes checkpoint/restore *bit-identical*: a restored
 //!   SAC agent continues the exact trajectory the crashed one would have.
 //! * [`seal`] / [`unseal`] — the checkpoint envelope: magic, format

@@ -15,15 +15,13 @@
 //! queueing factor of its utilization, and the `ext_bandwidth_aware`
 //! experiment shows placement adapting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TierMemError;
 
 /// Bytes transferred per DRAM access (one cache line).
 pub const CACHE_LINE_BYTES: f64 = 64.0;
 
 /// Per-tier bandwidth capacities and the latency-inflation model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthModel {
     /// Fast-tier bandwidth capacity (bytes/second).
     pub fmem_bytes_per_sec: f64,

@@ -19,10 +19,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One kind of substrate perturbation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// PEBS sampling goes dark: every sampled count reads zero and the
     /// policy-visible access rate drops to zero. Application-side
@@ -116,7 +115,7 @@ pub enum FaultKind {
 }
 
 /// A fault active over a closed-open time window `[start, start + duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     /// What goes wrong.
     pub kind: FaultKind,
@@ -136,7 +135,7 @@ impl FaultWindow {
 
 /// A reproducible fault schedule: a seed for the fault layer's own
 /// randomness plus the list of timed fault windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seeds every random draw the fault layer makes (noise, per-move
     /// failures). Independent of the simulation seed.
@@ -193,7 +192,7 @@ impl FaultPlan {
 /// thinning, the slowest migration factor, the highest failure
 /// probability, the longest telemetry delay, the largest noise
 /// amplitude, and the summed (clamped) bandwidth spike.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickFaults {
     /// PEBS reads zero this tick.
     pub sampler_blackout: bool,
@@ -377,7 +376,7 @@ impl FaultInjector {
 
 /// Opaque snapshot of a [`FaultInjector`]'s mutable state (see
 /// [`FaultInjector::state`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultInjectorState {
     /// Raw RNG state of the injector's seeded stream.
     pub rng_state: u64,

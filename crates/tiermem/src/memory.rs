@@ -5,14 +5,12 @@
 //! through [`TieredMemory::migrate`] / [`TieredMemory::exchange`], which
 //! keep per-tier occupancy and per-workload residency counters exact.
 
-use serde::{Deserialize, Serialize};
-
 use crate::audit::AuditViolation;
 use crate::error::TierMemError;
 use crate::page::{PageId, PageRegion, Tier, WorkloadId};
 
 /// Static description of a two-tier memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySpec {
     fmem_bytes: u64,
     smem_bytes: u64,
@@ -131,7 +129,7 @@ pub enum InitialPlacement {
 }
 
 /// Per-workload residency counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Residency {
     /// Pages of this workload currently resident in FMem.
     pub fmem_pages: u64,

@@ -14,7 +14,6 @@
 use mtat_obs::Obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::TierMemError;
 
@@ -39,7 +38,7 @@ use crate::error::TierMemError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MigrationEngine {
     bandwidth_bytes_per_sec: f64,
     page_size: u64,
@@ -68,9 +67,8 @@ pub struct MigrationEngine {
     /// Failures in the most recent `try_consume_pages` call, so the
     /// caller can tell fault losses apart from budget exhaustion.
     failed_last_call: u64,
-    /// Telemetry handle (disabled by default). Never serialized and
-    /// never consulted for decisions — metering only.
-    #[serde(skip)]
+    /// Telemetry handle (disabled by default). Never consulted for
+    /// decisions — metering only.
     obs: Obs,
 }
 

@@ -6,14 +6,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a simulated physical page.
 ///
 /// Pages are numbered densely from zero in registration order, so a
 /// `PageId` can index directly into the page table. The newtype prevents
 /// accidental mixing with workload-local page ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u32);
 
 impl PageId {
@@ -35,7 +33,7 @@ impl fmt::Display for PageId {
 /// Workload 0 is, by convention in the experiment harness, the
 /// latency-critical workload; best-effort workloads follow. Nothing in
 /// the substrate depends on that convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WorkloadId(pub u16);
 
 impl WorkloadId {
@@ -57,7 +55,7 @@ impl fmt::Display for WorkloadId {
 /// The paper's FMem is local DRAM (~73 ns loads); SMem is CXL-attached or
 /// NUMA-remote DRAM (~202 ns loads). See [`crate::FMEM_LATENCY_NS`] and
 /// [`crate::SMEM_LATENCY_NS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// The fast tier (local DRAM).
     FMem,
@@ -102,7 +100,7 @@ impl fmt::Display for Tier {
 /// Workload-local page *ranks* (0..n_pages) map to global [`PageId`]s by
 /// adding `base`. Workload models index their popularity distributions by
 /// rank; the substrate deals in global ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageRegion {
     /// Global id of the first page in the region.
     pub base: u32,

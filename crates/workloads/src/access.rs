@@ -10,8 +10,6 @@
 //! hottest (rank 0) to coldest, with prefix sums so that *"what hit ratio
 //! would k resident pages buy"* is an O(1) query.
 
-use serde::{Deserialize, Serialize};
-
 /// Why a [`Popularity`] distribution could not be built.
 ///
 /// Scenario-facing constructors return this instead of panicking so a
@@ -52,7 +50,7 @@ impl std::fmt::Display for PopularityError {
 impl std::error::Error for PopularityError {}
 
 /// The shape of a workload's page-popularity distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Every page equally popular (LC request traffic per §5).
     Uniform,
@@ -89,7 +87,7 @@ impl AccessPattern {
 /// let uni = Popularity::new(AccessPattern::Uniform, 1000);
 /// assert!((uni.fraction_top(100) - 0.1).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Popularity {
     pattern: AccessPattern,
     weights: Vec<f64>,

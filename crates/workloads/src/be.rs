@@ -15,15 +15,13 @@
 //! concavity is what makes the fairness-oriented simulated-annealing
 //! allocation of Algorithm 2 non-trivial.
 
-use serde::{Deserialize, Serialize};
-
 use mtat_tiermem::latency::ServiceModel;
 use mtat_tiermem::GIB;
 
 use crate::access::{AccessPattern, Popularity};
 
 /// Specification of a best-effort batch workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeSpec {
     /// Benchmark name (e.g. `"sssp"`).
     pub name: String,

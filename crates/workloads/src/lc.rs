@@ -17,15 +17,13 @@
 //! the analytical heart of the paper's motivation: promoting a specific
 //! LC page buys almost nothing, only *capacity* does.
 
-use serde::{Deserialize, Serialize};
-
 use mtat_tiermem::latency::{self, ServiceModel};
 use mtat_tiermem::GIB;
 
 use crate::access::AccessPattern;
 
 /// Specification of a latency-critical server workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LcSpec {
     /// Benchmark name (e.g. `"redis"`).
     pub name: String,

@@ -7,11 +7,9 @@
 //! pattern" — with the peak held long enough that the high-load interval
 //! spans the 100–140 s window highlighted in Fig. 5.
 
-use serde::{Deserialize, Serialize};
-
 /// A piecewise-constant offered-load schedule, as a fraction of the
 /// workload's maximum load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoadPattern {
     /// A constant fraction of max load for the whole run.
     Constant(f64),

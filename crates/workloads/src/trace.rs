@@ -6,13 +6,11 @@
 //! converts into a piecewise-constant [`LoadPattern`] at any step size
 //! for use with the simulation driver.
 
-use serde::{Deserialize, Serialize};
-
 use crate::load::LoadPattern;
 
 /// A load trace: levels (fractions of max load) sampled every
 /// `sample_secs`, linearly interpolated in between.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadTrace {
     sample_secs: f64,
     levels: Vec<f64>,
